@@ -1,5 +1,5 @@
-// bench_wire (PR 6) - what wire format v2 and the block journal buy:
-//   * codec micro-costs: encode/decode ns/op for v1 vs v2, frame sizes;
+// bench_wire - what the wire format and the block journal cost and buy:
+//   * codec micro-costs: encode/decode ns/op and the frame size;
 //   * proxy relay throughput: pipelined messages through the raw-frame
 //     relay vs a decode-and-re-encode relay (what the proxy did before);
 //   * journal recovery: full replay of a 1M-record block journal vs
@@ -42,38 +42,32 @@ net::Message sample_message() {
 // --- console benchmarks ----------------------------------------------------
 
 void BM_EncodeInto(benchmark::State& state) {
-  const auto version = static_cast<net::WireVersion>(state.range(0));
   const net::Message msg = sample_message();
   std::vector<std::uint8_t> warm;
   for (auto _ : state) {
-    msg.encode_into(warm, version);
+    msg.encode_into(warm);
     benchmark::DoNotOptimize(warm.data());
   }
-  state.SetLabel(version == net::WireVersion::kV2 ? "v2" : "v1");
 }
-BENCHMARK(BM_EncodeInto)->Arg(1)->Arg(2);
+BENCHMARK(BM_EncodeInto);
 
 void BM_Decode(benchmark::State& state) {
-  const auto version = static_cast<net::WireVersion>(state.range(0));
-  const auto bytes = sample_message().encode(version);
+  const auto bytes = sample_message().encode();
   for (auto _ : state) {
     auto decoded = net::Message::decode(bytes.data(), bytes.size());
     benchmark::DoNotOptimize(decoded);
   }
-  state.SetLabel(version == net::WireVersion::kV2 ? "v2" : "v1");
 }
-BENCHMARK(BM_Decode)->Arg(1)->Arg(2);
+BENCHMARK(BM_Decode);
 
 void BM_ParseView(benchmark::State& state) {
-  const auto version = static_cast<net::WireVersion>(state.range(0));
-  const auto bytes = sample_message().encode(version);
+  const auto bytes = sample_message().encode();
   net::MessageView view;
   for (auto _ : state) {
     benchmark::DoNotOptimize(view.parse(bytes.data(), bytes.size()));
   }
-  state.SetLabel(version == net::WireVersion::kV2 ? "v2" : "v1");
 }
-BENCHMARK(BM_ParseView)->Arg(1)->Arg(2);
+BENCHMARK(BM_ParseView);
 
 // --- JSON emission pass ----------------------------------------------------
 
@@ -184,7 +178,7 @@ double pipelined_ops_per_sec(net::Endpoint& endpoint, int count) {
   std::vector<std::uint8_t> burst;
   for (int i = 0; i < kBurst; ++i) {
     ping.set_seq(static_cast<std::uint64_t>(i));
-    ping.encode_into(one, endpoint.wire_version());
+    ping.encode_into(one);
     burst.insert(burst.end(), one.begin(), one.end());
   }
   const int bursts = count / kBurst;
@@ -219,15 +213,9 @@ void emit_wire_json() {
 
   // Codec micro-costs.
   std::vector<std::uint8_t> warm;
-  const double encode_v1_ns = ns_per_op(
-      400000, [&] { msg.encode_into(warm, net::WireVersion::kV1); });
-  const double encode_v2_ns = ns_per_op(
-      400000, [&] { msg.encode_into(warm, net::WireVersion::kV2); });
-  const auto v1_bytes = msg.encode(net::WireVersion::kV1);
-  const auto v2_bytes = msg.encode(net::WireVersion::kV2);
+  const double encode_v2_ns = ns_per_op(400000, [&] { msg.encode_into(warm); });
+  const auto v2_bytes = msg.encode();
   net::MessageView view;
-  const double decode_v1_ns = ns_per_op(
-      400000, [&] { (void)view.parse(v1_bytes.data(), v1_bytes.size()); });
   const double decode_v2_ns = ns_per_op(
       400000, [&] { (void)view.parse(v2_bytes.data(), v2_bytes.size()); });
 
@@ -309,11 +297,8 @@ void emit_wire_json() {
       buf, sizeof(buf),
       "{\n"
       "  \"benchmark\": \"wire\",\n"
-      "  \"encode_v1_ns\": %.1f,\n"
       "  \"encode_v2_ns\": %.1f,\n"
-      "  \"decode_v1_ns\": %.1f,\n"
       "  \"decode_v2_ns\": %.1f,\n"
-      "  \"frame_bytes_v1\": %zu,\n"
       "  \"frame_bytes_v2\": %zu,\n"
       "  \"proxy_relay_ops_per_sec\": %.1f,\n"
       "  \"decode_relay_ops_per_sec\": %.1f,\n"
@@ -323,17 +308,15 @@ void emit_wire_json() {
       "  \"journal_delta_replay_ms\": %.1f,\n"
       "  \"journal_delta_records\": %zu\n"
       "}\n",
-      encode_v1_ns, encode_v2_ns, decode_v1_ns, decode_v2_ns, v1_bytes.size(),
-      v2_bytes.size(), relay_ops, decode_relay_ops,
+      encode_v2_ns, decode_v2_ns, v2_bytes.size(), relay_ops, decode_relay_ops,
       decode_relay_ops > 0 ? relay_ops / decode_relay_ops : 0.0,
       kBatches * kPerBatch, full_replay_ms, delta_replay_ms, delta_records);
   out << buf;
   std::printf(
-      "wire: v2 encode %.0fns (v1 %.0fns), v2 frame %zuB (v1 %zuB), "
-      "proxy %.0f ops/s (decode relay %.0f), 1M-record replay %.0fms "
-      "(delta %.0fms)\n",
-      encode_v2_ns, encode_v1_ns, v2_bytes.size(), v1_bytes.size(), relay_ops,
-      decode_relay_ops, full_replay_ms, delta_replay_ms);
+      "wire: encode %.0fns, frame %zuB, proxy %.0f ops/s (decode relay %.0f), "
+      "1M-record replay %.0fms (delta %.0fms)\n",
+      encode_v2_ns, v2_bytes.size(), relay_ops, decode_relay_ops, full_replay_ms,
+      delta_replay_ms);
 }
 
 }  // namespace

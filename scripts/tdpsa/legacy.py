@@ -111,8 +111,8 @@ def run_legacy_rules(files: list[tuple[str, str]], report: Report) -> None:
                     report.suppress_or_add(
                         lines[no - 1], "manual-framing", rel, no,
                         "direct Message codec call outside src/net/ — "
-                        "manual framing bypasses the negotiated wire "
-                        "version; go through Endpoint "
+                        "the frame format is private to src/net/; go "
+                        "through Endpoint "
                         "send/receive/send_frame/receive_frame")
 
         if rel not in RAW_CLOCK_READ_EXEMPT:

@@ -222,10 +222,7 @@ Result<Message> FaultyEndpoint::receive(int timeout_ms) {
   static telemetry::Counter& corruptions = injected_counter("corruptions");
   corruptions.inc();
   notify_fault("corrupt", inner_->peer_address());
-  // Re-encode with the inner endpoint's negotiated version so the chaos
-  // tier damages (and re-decodes) v2 frames once a session upgrades, not
-  // just the v1 layout.
-  std::vector<std::uint8_t> frame = received->encode(inner_->wire_version());
+  std::vector<std::uint8_t> frame = received->encode();
   {
     LockGuard lock(mutex_);
     corrupt_frame(frame, rng_);

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cstring>
+#include <string>
+#include <unordered_map>
 
 namespace tdp::net {
 
@@ -20,18 +22,13 @@ inline std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
   return p + 4;
 }
 
-inline std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
-  return p + 8;
-}
-
 inline std::uint8_t* put_bytes(std::uint8_t* p, const void* data, std::size_t n) {
   if (n != 0) std::memcpy(p, data, n);
   return p + n;
 }
 
-/// LEB128 varint (v2 layout). Sizes and writes agree byte-for-byte so the
-/// two-pass encode (size, then fill) never reallocates.
+/// LEB128 varint. Sizes and writes agree byte-for-byte so the two-pass
+/// encode (size, then fill) never reallocates.
 inline std::size_t varint_size(std::uint64_t v) noexcept {
   std::size_t n = 1;
   while (v >= 0x80) {
@@ -50,10 +47,81 @@ inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
   return p;
 }
 
-/// v2 field tags. Unknown tags are skipped via their body_len - the
-/// forward-compatibility rule.
+/// payload[0] of every frame.
+constexpr std::uint8_t kMarker = 0xFD;
+
+/// Field tags. Any other tag is a malformed frame.
 constexpr std::uint8_t kTagInterned = 0x01;
 constexpr std::uint8_t kTagNamed = 0x02;
+
+/// The interned keys, in id order starting at id 1 (id 0 means "no id").
+/// Every peer is built from this table, so ids need no stability across
+/// builds. The batch slots k0..k31 / v0..v31 are appended programmatically
+/// after this list.
+constexpr const char* kWellKnownKeys[] = {
+    // attrspace protocol fields (attr_protocol.hpp)
+    "ctx", "attr", "value", "status", "error", "block", "pattern", "sub_id",
+    "count", "bid",
+    // reserved cross-cutting fields
+    "_tc",
+    // proxy / process-control / ping payloads
+    "service", "payload", "cmd",
+    // standard attribute names that double as message fields
+    "pid", "executable_name", "app_args", "frontend_host", "frontend_port",
+    "frontend_port2", "proxy_address", "stdio_address", "app_state",
+    "rt_ready", "working_dir", "job_id", "num_procs",
+    // condor / paradyn / mrnet message fields
+    "job", "machine", "executable", "daemon", "module", "function", "metric",
+    "host", "rank", "state", "final", "mod", "fn", "m", "v",
+    // liveness / telemetry publish fields
+    "seq", "micros", "role", "lease_ttl_ms", "beat",
+};
+
+constexpr std::size_t kBatchSlots = 32;  // k0..k31, v0..v31
+
+struct KeyTable {
+  std::unordered_map<std::string_view, std::uint16_t> by_key;
+  std::vector<std::string> by_id;  // index = id; [0] unused
+
+  KeyTable() {
+    // Reserve the exact final size up front: the by_key string_views point
+    // into by_id's strings, so the vector must never reallocate (SSO moves
+    // the character buffers with the string objects).
+    const std::size_t total = 1 + std::size(kWellKnownKeys) + 2 * kBatchSlots;
+    by_id.reserve(total);
+    by_key.reserve(total);
+    by_id.emplace_back();  // id 0 = "no id"
+    for (const char* key : kWellKnownKeys) add(key);
+    for (std::size_t i = 0; i < kBatchSlots; ++i) {
+      add("k" + std::to_string(i));
+      add("v" + std::to_string(i));
+    }
+  }
+
+  void add(std::string key) {
+    by_id.push_back(std::move(key));
+    by_key.emplace(by_id.back(), static_cast<std::uint16_t>(by_id.size() - 1));
+  }
+};
+
+const KeyTable& key_table() {
+  static const KeyTable instance;
+  return instance;
+}
+
+/// Interned id of `key`, or 0 when the key rides as a named field.
+std::uint16_t interned_id(std::string_view key) {
+  const auto& table = key_table();
+  auto it = table.by_key.find(key);
+  return it == table.by_key.end() ? 0 : it->second;
+}
+
+/// Key of an interned id; empty for 0 and unregistered ids.
+std::string_view interned_key(std::uint16_t id) {
+  const auto& table = key_table();
+  if (id == 0 || id >= table.by_id.size()) return {};
+  return table.by_id[id];
+}
 
 /// Bounds-checked little-endian reader over a byte span.
 class ByteReader {
@@ -64,22 +132,6 @@ class ByteReader {
     if (size_ - pos_ < 2) return false;
     *v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
     pos_ += 2;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
     return true;
   }
 
@@ -127,10 +179,17 @@ std::int64_t parse_int(std::string_view text, std::int64_t fallback) {
   return value;
 }
 
-/// Validates the length prefix against the actual frame size and positions
-/// a ByteReader over the payload. Shared by both wire versions.
-Status validate_frame(const std::uint8_t* data, std::size_t size,
-                      ByteReader* reader_out) {
+struct FrameHeader {
+  std::uint16_t type = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t nfields = 0;
+};
+
+/// Validates the length prefix against the actual frame size and the
+/// payload header (marker | version | flags | u16 type | varint seq |
+/// varint nfields); leaves `reader_out` at the first field.
+Status open_frame(const std::uint8_t* data, std::size_t size,
+                  ByteReader* reader_out, FrameHeader* header) {
   if (size < Message::kLenPrefixSize) {
     return make_error(ErrorCode::kInvalidArgument, "frame shorter than length prefix");
   }
@@ -141,35 +200,17 @@ Status validate_frame(const std::uint8_t* data, std::size_t size,
   if (size != Message::kLenPrefixSize + payload) {
     return make_error(ErrorCode::kInvalidArgument, "frame size does not match prefix");
   }
-  *reader_out = ByteReader(data + Message::kLenPrefixSize, payload);
-  return Status::ok();
-}
-
-/// v1 payload header: u16 type | u64 seq | u16 nfields.
-Status parse_v1_header(ByteReader& reader, std::uint16_t* type_out,
-                       std::uint64_t* seq_out, std::uint64_t* nfields_out) {
-  std::uint16_t nfields = 0;
-  if (!reader.read_u16(type_out) || !reader.read_u64(seq_out) ||
-      !reader.read_u16(&nfields)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated message header");
-  }
-  *nfields_out = nfields;
-  return Status::ok();
-}
-
-/// v2 payload header: u8 marker | u8 version | u8 flags | u16 type |
-/// varint seq | varint nfields.
-Status parse_v2_header(ByteReader& reader, std::uint16_t* type_out,
-                       std::uint64_t* seq_out, std::uint64_t* nfields_out) {
+  ByteReader reader(data + Message::kLenPrefixSize, payload);
   std::uint8_t marker = 0;
   std::uint8_t version = 0;
   std::uint8_t flags = 0;
   if (!reader.read_u8(&marker) || !reader.read_u8(&version) ||
-      !reader.read_u8(&flags)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 header");
+      !reader.read_u8(&flags) || !reader.read_u16(&header->type) ||
+      !reader.read_varint(&header->seq) || !reader.read_varint(&header->nfields)) {
+    return make_error(ErrorCode::kInvalidArgument, "truncated message header");
   }
-  if (marker != kV2Marker) {
-    return make_error(ErrorCode::kInvalidArgument, "missing v2 marker");
+  if (marker != kMarker) {
+    return make_error(ErrorCode::kInvalidArgument, "missing frame marker");
   }
   if (version != static_cast<std::uint8_t>(WireVersion::kV2)) {
     return make_error(ErrorCode::kInvalidArgument, "unsupported wire version");
@@ -177,68 +218,60 @@ Status parse_v2_header(ByteReader& reader, std::uint16_t* type_out,
   if (flags != 0) {
     return make_error(ErrorCode::kInvalidArgument, "reserved wire flags set");
   }
-  if (!reader.read_u16(type_out) || !reader.read_varint(seq_out) ||
-      !reader.read_varint(nfields_out)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 header");
-  }
-  // The 0xFD row of the type space is reserved so payload[0] can mark v2
-  // frames; a type from that row could never re-encode as v1.
-  if ((*type_out & 0xFF) == kV2Marker) {
-    return make_error(ErrorCode::kInvalidArgument, "reserved message type");
-  }
   // Each encoded field is at least tag + body_len = 2 bytes, so a count
   // exceeding the remaining payload is corrupt (guards reserve() against
   // a hostile varint).
-  if (*nfields_out > reader.remaining()) {
-    return make_error(ErrorCode::kInvalidArgument, "v2 field count exceeds payload");
+  if (header->nfields > reader.remaining()) {
+    return make_error(ErrorCode::kInvalidArgument, "field count exceeds payload");
   }
+  *reader_out = reader;
   return Status::ok();
 }
 
-/// Parses one v2 field. On success either yields key/value views or sets
-/// `skipped` (unknown tag or unregistered interned id - the
-/// skip-unknown-fields rule). Interned keys view the static registry, so
-/// they outlive any buffer.
-Status parse_v2_field(ByteReader& reader, std::string_view* key,
-                      std::string_view* value, bool* skipped) {
+/// Parses one field into key/value views. Interned keys view the static
+/// key table, so they outlive any buffer.
+Status parse_field(ByteReader& reader, std::string_view* key,
+                   std::string_view* value) {
   std::uint8_t tag = 0;
   std::uint64_t body_len = 0;
   if (!reader.read_u8(&tag) || !reader.read_varint(&body_len)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 field header");
+    return make_error(ErrorCode::kInvalidArgument, "truncated field header");
   }
   std::string_view body;
   if (body_len > reader.remaining() ||
       !reader.read_view(static_cast<std::size_t>(body_len), &body)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 field body");
+    return make_error(ErrorCode::kInvalidArgument, "truncated field body");
   }
   ByteReader body_reader(reinterpret_cast<const std::uint8_t*>(body.data()),
                          body.size());
-  *skipped = false;
   if (tag == kTagInterned) {
     std::uint16_t id = 0;
     if (!body_reader.read_u16(&id)) {
       return make_error(ErrorCode::kInvalidArgument, "truncated interned field id");
     }
-    const std::string_view name = wire_field_name(id);
-    if (name.empty()) {
-      *skipped = true;  // id from a newer registry than ours
-      return Status::ok();
+    *key = interned_key(id);
+    if (key->empty()) {
+      return make_error(ErrorCode::kInvalidArgument, "unregistered interned field id");
     }
-    *key = name;
-    body_reader.read_view(body_reader.remaining(), value);
-    return Status::ok();
-  }
-  if (tag == kTagNamed) {
+  } else if (tag == kTagNamed) {
     std::uint64_t klen = 0;
     if (!body_reader.read_varint(&klen) || klen > body_reader.remaining() ||
         !body_reader.read_view(static_cast<std::size_t>(klen), key)) {
       return make_error(ErrorCode::kInvalidArgument, "truncated named field key");
     }
-    body_reader.read_view(body_reader.remaining(), value);
-    return Status::ok();
+  } else {
+    return make_error(ErrorCode::kInvalidArgument, "unknown field tag");
   }
-  *skipped = true;  // unknown tag, body_len already consumed
+  body_reader.read_view(body_reader.remaining(), value);
   return Status::ok();
+}
+
+/// Size of one field body (without tag and body_len prefix). Sets `id` to
+/// the key's interned id, or 0 for a named field.
+inline std::size_t field_body_size(const Message::Field& field, std::uint16_t* id) {
+  *id = interned_id(field.key);
+  if (*id != 0) return 2 + field.value.size();
+  return varint_size(field.key.size()) + field.key.size() + field.value.size();
 }
 
 }  // namespace
@@ -289,57 +322,23 @@ std::int64_t Message::get_int(std::string_view key, std::int64_t fallback) const
   return fallback;
 }
 
-namespace {
-
-/// Size of one v2 field body (without tag and body_len prefix). Sets
-/// `interned_id` when the key is in the registry.
-inline std::size_t v2_field_body_size(const Message::Field& field,
-                                      std::uint16_t* interned_id) {
-  if (wire_field_id(field.key, interned_id)) {
-    return 2 + field.value.size();
-  }
-  *interned_id = 0;
-  return varint_size(field.key.size()) + field.key.size() + field.value.size();
-}
-
-}  // namespace
-
-std::size_t Message::encoded_size(WireVersion version) const noexcept {
-  if (version == WireVersion::kV1) {
-    std::size_t size = kLenPrefixSize + 2 + 8 + 2;
-    for (const Field& field : fields_) {
-      size += 2 + field.key.size() + 4 + field.value.size();
-    }
-    return size;
-  }
+std::size_t Message::encoded_size() const noexcept {
   std::size_t size = kLenPrefixSize + 3 + 2 + varint_size(seq_) +
                      varint_size(fields_.size());
   for (const Field& field : fields_) {
     std::uint16_t id = 0;
-    const std::size_t body = v2_field_body_size(field, &id);
+    const std::size_t body = field_body_size(field, &id);
     size += 1 + varint_size(body) + body;
   }
   return size;
 }
 
-void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion version) const {
-  const std::size_t total = encoded_size(version);
+void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion) const {
+  const std::size_t total = encoded_size();
   out.resize(total);
   std::uint8_t* p = out.data();
   p = put_u32(p, static_cast<std::uint32_t>(total - kLenPrefixSize));
-  if (version == WireVersion::kV1) {
-    p = put_u16(p, static_cast<std::uint16_t>(type_));
-    p = put_u64(p, seq_);
-    p = put_u16(p, static_cast<std::uint16_t>(fields_.size()));
-    for (const Field& field : fields_) {
-      p = put_u16(p, static_cast<std::uint16_t>(field.key.size()));
-      p = put_bytes(p, field.key.data(), field.key.size());
-      p = put_u32(p, static_cast<std::uint32_t>(field.value.size()));
-      p = put_bytes(p, field.value.data(), field.value.size());
-    }
-    return;
-  }
-  *p++ = kV2Marker;
+  *p++ = kMarker;
   *p++ = static_cast<std::uint8_t>(WireVersion::kV2);
   *p++ = 0;  // flags, reserved
   p = put_u16(p, static_cast<std::uint16_t>(type_));
@@ -347,7 +346,7 @@ void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion version) c
   p = put_varint(p, fields_.size());
   for (const Field& field : fields_) {
     std::uint16_t id = 0;
-    const std::size_t body = v2_field_body_size(field, &id);
+    const std::size_t body = field_body_size(field, &id);
     if (id != 0) {
       *p++ = kTagInterned;
       p = put_varint(p, body);
@@ -362,9 +361,9 @@ void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion version) c
   }
 }
 
-std::vector<std::uint8_t> Message::encode(WireVersion version) const {
+std::vector<std::uint8_t> Message::encode() const {
   std::vector<std::uint8_t> out;
-  encode_into(out, version);
+  encode_into(out);
   return out;
 }
 
@@ -375,41 +374,16 @@ std::uint32_t Message::peek_length(const std::uint8_t* prefix) noexcept {
          (static_cast<std::uint32_t>(prefix[3]) << 24);
 }
 
-WireVersion Message::detect_version(const std::uint8_t* data,
-                                    std::size_t size) noexcept {
-  if (size <= kLenPrefixSize) return WireVersion::kV1;
-  return data[kLenPrefixSize] == kV2Marker ? WireVersion::kV2 : WireVersion::kV1;
-}
-
 Result<Message> Message::decode(const std::uint8_t* data, std::size_t size) {
   ByteReader reader(nullptr, 0);
-  TDP_RETURN_IF_ERROR(validate_frame(data, size, &reader));
-  const WireVersion version = detect_version(data, size);
-  std::uint16_t type_raw = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t nfields = 0;
-  if (version == WireVersion::kV1) {
-    TDP_RETURN_IF_ERROR(parse_v1_header(reader, &type_raw, &seq, &nfields));
-  } else {
-    TDP_RETURN_IF_ERROR(parse_v2_header(reader, &type_raw, &seq, &nfields));
-  }
-  Message msg(static_cast<MsgType>(type_raw));
-  msg.set_seq(seq);
-  msg.fields_.reserve(static_cast<std::size_t>(nfields));
-  for (std::uint64_t i = 0; i < nfields; ++i) {
+  FrameHeader header;
+  TDP_RETURN_IF_ERROR(open_frame(data, size, &reader, &header));
+  Message msg(static_cast<MsgType>(header.type));
+  msg.set_seq(header.seq);
+  msg.fields_.reserve(static_cast<std::size_t>(header.nfields));
+  for (std::uint64_t i = 0; i < header.nfields; ++i) {
     std::string_view key, value;
-    if (version == WireVersion::kV1) {
-      std::uint16_t klen = 0;
-      std::uint32_t vlen = 0;
-      if (!reader.read_u16(&klen) || !reader.read_view(klen, &key) ||
-          !reader.read_u32(&vlen) || !reader.read_view(vlen, &value)) {
-        return make_error(ErrorCode::kInvalidArgument, "truncated message field");
-      }
-    } else {
-      bool skipped = false;
-      TDP_RETURN_IF_ERROR(parse_v2_field(reader, &key, &value, &skipped));
-      if (skipped) continue;
-    }
+    TDP_RETURN_IF_ERROR(parse_field(reader, &key, &value));
     // set() keeps keys unique: duplicate wire keys merge, last wins.
     msg.set(std::string(key), std::string(value));
   }
@@ -441,41 +415,21 @@ bool operator==(const Message& a, const Message& b) {
 
 Status MessageView::parse(const std::uint8_t* data, std::size_t size) {
   ByteReader reader(nullptr, 0);
-  TDP_RETURN_IF_ERROR(validate_frame(data, size, &reader));
-  const WireVersion version = Message::detect_version(data, size);
-  std::uint16_t type_raw = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t nfields = 0;
-  if (version == WireVersion::kV1) {
-    TDP_RETURN_IF_ERROR(parse_v1_header(reader, &type_raw, &seq, &nfields));
-  } else {
-    TDP_RETURN_IF_ERROR(parse_v2_header(reader, &type_raw, &seq, &nfields));
-  }
+  FrameHeader header;
+  TDP_RETURN_IF_ERROR(open_frame(data, size, &reader, &header));
   fields_.clear();
   owned_ = Message();
-  fields_.reserve(static_cast<std::size_t>(nfields));
-  for (std::uint64_t i = 0; i < nfields; ++i) {
+  fields_.reserve(static_cast<std::size_t>(header.nfields));
+  for (std::uint64_t i = 0; i < header.nfields; ++i) {
     FieldView field;
-    if (version == WireVersion::kV1) {
-      std::uint16_t klen = 0;
-      std::uint32_t vlen = 0;
-      if (!reader.read_u16(&klen) || !reader.read_view(klen, &field.key) ||
-          !reader.read_u32(&vlen) || !reader.read_view(vlen, &field.value)) {
-        return make_error(ErrorCode::kInvalidArgument, "truncated message field");
-      }
-    } else {
-      bool skipped = false;
-      TDP_RETURN_IF_ERROR(parse_v2_field(reader, &field.key, &field.value, &skipped));
-      if (skipped) continue;
-    }
+    TDP_RETURN_IF_ERROR(parse_field(reader, &field.key, &field.value));
     fields_.push_back(field);
   }
   if (!reader.exhausted()) {
     return make_error(ErrorCode::kInvalidArgument, "trailing bytes after last field");
   }
-  type_ = static_cast<MsgType>(type_raw);
-  seq_ = seq;
-  wire_version_ = version;
+  type_ = static_cast<MsgType>(header.type);
+  seq_ = header.seq;
   return Status::ok();
 }
 
@@ -483,7 +437,6 @@ void MessageView::adopt(Message msg) {
   owned_ = std::move(msg);
   type_ = owned_.type();
   seq_ = owned_.seq();
-  wire_version_ = WireVersion::kV1;
   fields_.clear();
   fields_.reserve(owned_.fields().size());
   for (const Message::Field& field : owned_.fields()) {

@@ -11,10 +11,9 @@ namespace tdp::net {
 namespace {
 const log::Logger kLog("proxy");
 
-// Frames relayed in either direction, across all tunnels. Since PR 6 the
-// pumps move raw frames (send_frame/receive_frame) without decoding, so
-// trace headers, unknown fields, and the sender's wire version all pass
-// through byte-identical - and the relay never pays a field-table parse.
+// Frames relayed in either direction, across all tunnels. The pumps move
+// raw frames (send_frame/receive_frame) without decoding, so frames pass
+// through byte-identical and the relay never pays a field-table parse.
 telemetry::Counter& relayed_counter() {
   static telemetry::Counter& c =
       telemetry::Registry::instance().counter("proxy.frames_relayed");
@@ -145,9 +144,6 @@ void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
     auto it = services_.find(service);
     if (it != services_.end()) target = it->second;
   }
-  // The handshake stays version-neutral (plain v1): the proxy cannot speak
-  // for the upstream's capabilities. End-to-end negotiation rides the
-  // application's first messages, which the raw-frame pumps relay verbatim.
   Message reply(MsgType::kProxyConnectReply);
   if (target.empty()) {
     reply.set("status", "error").set("error", "unknown service: " + service);
@@ -164,12 +160,15 @@ void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
   }
   std::shared_ptr<Endpoint> upstream(std::move(dialed).value().release());
   reply.set("status", "ok");
+  // Count the tunnel before the client can see it open: a client that
+  // reads tunnels_opened() right after the ok reply must find it counted.
+  tunnels_.fetch_add(1, std::memory_order_relaxed);
   if (!client->send(reply).is_ok()) {
+    tunnels_.fetch_sub(1, std::memory_order_relaxed);
     client->close();
     upstream->close();
     return;
   }
-  tunnels_.fetch_add(1, std::memory_order_relaxed);
   kLog.debug("tunnel opened: service=", service, " target=", target);
   if (recorder_) {
     recorder_->state("tunnel-open", "service=" + service + " target=" + target);

@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "net/proxy.hpp"
-#include "net/wire.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
@@ -159,7 +158,6 @@ Status Paradynd::connect_frontend() {
   frontend_ = std::move(endpoint).value();
 
   net::Message hello(net::MsgType::kParadynHello);
-  net::advertise_wire_version(*frontend_, hello);
   hello.set("daemon", config_.daemon_name);
   hello.set_int("pid", app_pid_);
   hello.set("executable", executable_);

@@ -4,7 +4,7 @@
 // wrappers below together with the TDP_* Clang Thread Safety Analysis
 // attributes, so lock discipline is proven at compile time under
 // `clang++ -Wthread-safety -Werror` and compiles to plain std primitives
-// everywhere else. scripts/lint.py enforces that no raw std::mutex /
+// everywhere else. scripts/tdpsa enforces that no raw std::mutex /
 // std::lock_guard / std::condition_variable appears outside this header.
 //
 // Debug builds additionally carry a runtime LockOrderGraph inside the

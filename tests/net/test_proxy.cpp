@@ -1,9 +1,12 @@
-// Tests for the Section 2.4 proxy: firewall policy, tunnel splicing, and
-// the direct-or-proxied fallback TDP hands to tools.
+// Tests for the Section 2.4 proxy: firewall policy, tunnel splicing, the
+// direct-or-proxied fallback TDP hands to tools, and attribute-space
+// clients sharing a context through tunnels.
 #include "net/proxy.hpp"
 
 #include <gtest/gtest.h>
 
+#include "attrspace/attr_client.hpp"
+#include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
 
@@ -178,6 +181,40 @@ TEST(Proxy, WorksOverTcpToo) {
 
   echo_thread.join();
   proxy.stop();
+}
+
+TEST(Proxy, TunneledAttrClientsShareAContext) {
+  // Full stack: attribute server upstream, proxy in the middle, two
+  // clients that reach the same context only through their own tunnels.
+  auto transport = std::make_shared<TcpTransport>();
+  attr::AttrServer server("CASS", transport);
+  auto server_addr = server.start(":0");
+  ASSERT_TRUE(server_addr.is_ok());
+
+  ProxyServer proxy(transport);
+  proxy.register_service("cass", server_addr.value());
+  auto proxy_addr = proxy.start(":0");
+  ASSERT_TRUE(proxy_addr.is_ok());
+
+  auto writer_ep = proxy_connect(*transport, proxy_addr.value(), "cass");
+  ASSERT_TRUE(writer_ep.is_ok());
+  auto writer = attr::AttrClient::adopt(std::move(writer_ep).value(), "job-1");
+  ASSERT_TRUE(writer.is_ok());
+  auto reader_ep = proxy_connect(*transport, proxy_addr.value(), "cass");
+  ASSERT_TRUE(reader_ep.is_ok());
+  auto reader = attr::AttrClient::adopt(std::move(reader_ep).value(), "job-1");
+  ASSERT_TRUE(reader.is_ok());
+
+  ASSERT_TRUE(writer.value()->put("pid", "4242").is_ok());
+  auto got = reader.value()->get("pid", 5000);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value(), "4242");
+  EXPECT_EQ(proxy.tunnels_opened(), 2u);
+
+  reader.value().reset();
+  writer.value().reset();
+  proxy.stop();
+  server.stop();
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <poll.h>
 
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
@@ -17,10 +19,18 @@ namespace {
 
 enum class Kind { kInProc, kTcp };
 
+// gtest has no printer for TransportCase, so ctest registers each case
+// under a hex dump of all 16 bytes. Every byte is therefore defined:
+// `id_bytes` fills what used to be uninitialised padding, set to the
+// values the case IDs were first recorded with, and the name is stored
+// inline instead of behind a pointer that moves with every run.
 struct TransportCase {
   Kind kind;
-  const char* name;
+  std::uint32_t id_bytes;
+  char name[8];
 };
+static_assert(sizeof(TransportCase) == 16);
+static_assert(std::has_unique_object_representations_v<TransportCase>);
 
 class TransportConformance : public ::testing::TestWithParam<TransportCase> {
  protected:
@@ -200,8 +210,8 @@ TEST_P(TransportConformance, LargeMessage) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, TransportConformance,
-    ::testing::Values(TransportCase{Kind::kInProc, "inproc"},
-                      TransportCase{Kind::kTcp, "tcp"}),
+    ::testing::Values(TransportCase{Kind::kInProc, 0x5593, "inproc"},
+                      TransportCase{Kind::kTcp, 0x7FFF, "tcp"}),
     [](const ::testing::TestParamInfo<TransportCase>& info) {
       return info.param.name;
     });

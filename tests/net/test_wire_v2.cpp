@@ -1,15 +1,14 @@
-// Wire format v2 tests (PR 6): compact-layout round trips, field-id
-// interning, the skip-unknown-fields rule, version detection, strict
-// header validation, and fuzz coverage mirroring test_fuzz_decode.cpp for
-// the v2 decoder (truncated frames, corrupted field-id tables, random
-// mutations).
+// Wire format tests: compact-layout round trips over the whole type space,
+// field-id interning, rejection of unknown tags and unregistered ids,
+// strict header validation, and fuzz coverage mirroring
+// test_fuzz_decode.cpp (truncated frames, corrupted field-id tables,
+// random mutations).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "net/message.hpp"
-#include "net/wire.hpp"
 #include "util/rng.hpp"
 
 namespace tdp::net {
@@ -38,9 +37,9 @@ void put_varint(std::vector<std::uint8_t>* out, std::uint64_t v) {
 std::vector<std::uint8_t> frame_v2(MsgType type, std::uint64_t seq,
                                    const std::vector<std::vector<std::uint8_t>>& fields) {
   std::vector<std::uint8_t> payload;
-  payload.push_back(kV2Marker);
-  payload.push_back(2);  // version
-  payload.push_back(0);  // flags
+  payload.push_back(0xFD);  // marker
+  payload.push_back(2);     // version
+  payload.push_back(0);     // flags
   payload.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) & 0xFF));
   payload.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) >> 8));
   put_varint(&payload, seq);
@@ -80,87 +79,101 @@ std::vector<std::uint8_t> interned_field(std::uint16_t id, std::string_view valu
 }
 
 TEST(WireV2, RoundTripsThroughDecodeAndView) {
-  const Message msg = sample_message();
-  const auto bytes = msg.encode(WireVersion::kV2);
-  EXPECT_EQ(bytes.size(), msg.encoded_size(WireVersion::kV2));
-  EXPECT_EQ(Message::detect_version(bytes.data(), bytes.size()), WireVersion::kV2);
+  // 253 and 509 have 0xFD as their low byte, the frame marker's value:
+  // nothing in the type space is reserved.
+  for (const auto type : {MsgType::kAttrPut, static_cast<MsgType>(253),
+                          static_cast<MsgType>(509)}) {
+    Message msg = sample_message();
+    msg.set_type(type);
+    const auto bytes = msg.encode();
+    EXPECT_EQ(bytes.size(), msg.encoded_size());
 
-  auto decoded = Message::decode(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded.value(), msg);
+    auto decoded = Message::decode(bytes.data(), bytes.size());
+    ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded.value(), msg);
 
-  MessageView view;
-  ASSERT_TRUE(view.parse(bytes.data(), bytes.size()).is_ok());
-  EXPECT_EQ(view.wire_version(), WireVersion::kV2);
-  EXPECT_EQ(view.type(), MsgType::kAttrPut);
-  EXPECT_EQ(view.seq(), msg.seq());
-  EXPECT_EQ(view.get("attr"), "pid");
-  EXPECT_EQ(view.get("application-key"), "survives as a named field");
+    MessageView view;
+    ASSERT_TRUE(view.parse(bytes.data(), bytes.size()).is_ok());
+    EXPECT_EQ(view.type(), type);
+    EXPECT_EQ(view.seq(), msg.seq());
+    EXPECT_EQ(view.get("attr"), "pid");
+    EXPECT_EQ(view.get("application-key"), "survives as a named field");
+  }
 }
 
 TEST(WireV2, EncodeIntoReusesBufferAndMatchesEncode) {
   const Message msg = sample_message();
   std::vector<std::uint8_t> warm;
-  msg.encode_into(warm, WireVersion::kV2);
-  EXPECT_EQ(warm, msg.encode(WireVersion::kV2));
+  msg.encode_into(warm);
+  EXPECT_EQ(warm, msg.encode());
   // Second fill must not grow the buffer: steady-state senders stay
-  // allocation-free in v2 exactly as they did in v1.
+  // allocation-free.
   const std::uint8_t* data = warm.data();
   const std::size_t cap = warm.capacity();
-  msg.encode_into(warm, WireVersion::kV2);
+  msg.encode_into(warm);
   EXPECT_EQ(warm.data(), data);
   EXPECT_EQ(warm.capacity(), cap);
 }
 
 TEST(WireV2, InterningShrinksWellKnownFields) {
-  std::uint16_t id = 0;
-  ASSERT_TRUE(wire_field_id("attr", &id));
-  EXPECT_EQ(wire_field_name(id), "attr");
-  ASSERT_TRUE(wire_field_id(kTraceField, &id));
-  EXPECT_TRUE(wire_field_name(wire_field_registry_size()).empty());
+  // Same key lengths, same values: a well-known key travels as a 2-byte id
+  // where any other key spends a length byte plus the key itself, so each
+  // interned key saves its length minus one byte.
+  Message interned(MsgType::kAttrPut);
+  interned.set("attr", "x").set("value", "y").set("ctx", "z").set(kTraceField, "t");
+  Message named(MsgType::kAttrPut);
+  named.set("attx", "x").set("valux", "y").set("ctz", "z").set("_tz", "t");
+  EXPECT_EQ(interned.encoded_size() + (4 - 1) + (5 - 1) + (3 - 1) + (3 - 1),
+            named.encoded_size());
 
-  Message msg(MsgType::kAttrPut);
-  msg.set_seq(7);
-  msg.set("attr", "x").set("value", "y").set("ctx", "z");
-  // Three interned keys: v2 spends 2 bytes per key where v1 spends
-  // 2 + strlen; plus varint seq vs fixed u64.
-  EXPECT_LT(msg.encoded_size(WireVersion::kV2), msg.encoded_size(WireVersion::kV1));
+  const auto bytes = interned.encode();
+  auto decoded = Message::decode(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoded.is_ok());
+  EXPECT_EQ(decoded.value(), interned);
 }
 
 TEST(WireV2, UnknownKeysRideAsNamedFields) {
   Message msg(MsgType::kAttrPut);
   msg.set("totally-custom-key", "v");
-  const auto bytes = msg.encode(WireVersion::kV2);
+  const auto bytes = msg.encode();
   auto decoded = Message::decode(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded->get("totally-custom-key"), "v");
 }
 
 TEST(WireV2, SkipsUnknownTagsAndUnregisteredIds) {
-  const auto future_id =
-      static_cast<std::uint16_t>(wire_field_registry_size() + 100);
+  // Nothing is skipped: an unknown tag or an id outside the key table
+  // makes the whole frame malformed, for both decoders.
   std::vector<std::uint8_t> unknown_tag{0x5E};
   put_varint(&unknown_tag, 3);
   unknown_tag.insert(unknown_tag.end(), {1, 2, 3});
 
-  const auto frame = frame_v2(
-      MsgType::kAttrPut, 9,
-      {named_field("keep", "me"), interned_field(future_id, "from the future"),
-       unknown_tag, named_field("also", "kept")});
-  auto decoded = Message::decode(frame.data(), frame.size());
-  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->fields().size(), 2u);
-  EXPECT_EQ(decoded->get("keep"), "me");
-  EXPECT_EQ(decoded->get("also"), "kept");
-
+  const auto valid = frame_v2(MsgType::kAttrPut, 9,
+                              {named_field("keep", "me"), named_field("also", "kept")});
   MessageView view;
-  ASSERT_TRUE(view.parse(frame.data(), frame.size()).is_ok());
-  EXPECT_EQ(view.field_count(), 2u);
+  ASSERT_TRUE(Message::decode(valid.data(), valid.size()).is_ok());
+  ASSERT_TRUE(view.parse(valid.data(), valid.size()).is_ok());
+
+  for (const auto& bad : {unknown_tag, interned_field(0, "no id"),
+                          interned_field(0xFFFF, "unregistered")}) {
+    const auto frame = frame_v2(MsgType::kAttrPut, 9,
+                                {named_field("keep", "me"), bad, named_field("also", "kept")});
+    auto decoded = Message::decode(frame.data(), frame.size());
+    ASSERT_FALSE(decoded.is_ok());
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidArgument);
+    const Status parsed = view.parse(frame.data(), frame.size());
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 TEST(WireV2, RejectsBadHeaders) {
   const Message msg = sample_message();
-  auto bytes = msg.encode(WireVersion::kV2);
+  auto bytes = msg.encode();
+
+  auto bad_marker = bytes;
+  bad_marker[Message::kLenPrefixSize] = 0x64;  // a u16 type where the marker goes
+  EXPECT_FALSE(Message::decode(bad_marker.data(), bad_marker.size()).is_ok());
 
   auto bad_version = bytes;
   bad_version[Message::kLenPrefixSize + 1] = 3;  // future wire version
@@ -177,19 +190,10 @@ TEST(WireV2, RejectsBadHeaders) {
   EXPECT_FALSE(Message::decode(inflated.data(), inflated.size()).is_ok());
 }
 
-TEST(WireV2, V1FramesStillDecode) {
-  const Message msg = sample_message();
-  const auto v1 = msg.encode(WireVersion::kV1);
-  EXPECT_EQ(Message::detect_version(v1.data(), v1.size()), WireVersion::kV1);
-  auto decoded = Message::decode(v1.data(), v1.size());
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value(), msg);
-}
-
 class WireV2Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WireV2Fuzz, TruncationsNeverCrashOrPass) {
-  const auto bytes = sample_message().encode(WireVersion::kV2);
+  const auto bytes = sample_message().encode();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(Message::decode(bytes.data(), cut).is_ok());
   }
@@ -197,20 +201,18 @@ TEST_P(WireV2Fuzz, TruncationsNeverCrashOrPass) {
 
 TEST_P(WireV2Fuzz, SingleByteMutationsNeverCrash) {
   Rng rng(GetParam());
-  const auto bytes = sample_message().encode(WireVersion::kV2);
+  const auto bytes = sample_message().encode();
   for (int round = 0; round < 4000; ++round) {
     auto mutated = bytes;
     mutated[rng.next_below(mutated.size())] ^=
         static_cast<std::uint8_t>(1 + rng.next_below(255));
     auto decoded = Message::decode(mutated.data(), mutated.size());
     if (decoded.is_ok()) {
-      // Accepted input must reach a fixpoint in both encodings.
-      for (WireVersion v : {WireVersion::kV1, WireVersion::kV2}) {
-        auto reencoded = decoded->encode(v);
-        auto redecoded = Message::decode(reencoded.data(), reencoded.size());
-        ASSERT_TRUE(redecoded.is_ok());
-        EXPECT_EQ(redecoded.value(), decoded.value());
-      }
+      // Accepted input must reach a fixpoint.
+      auto reencoded = decoded->encode();
+      auto redecoded = Message::decode(reencoded.data(), reencoded.size());
+      ASSERT_TRUE(redecoded.is_ok());
+      EXPECT_EQ(redecoded.value(), decoded.value());
     }
   }
 }
@@ -223,7 +225,7 @@ TEST_P(WireV2Fuzz, CorruptedFieldTablesNeverCrash) {
   for (int i = 0; i < 8; ++i) {
     msg.set("k" + std::to_string(i), std::string(1 + rng.next_below(48), 'x'));
   }
-  const auto bytes = msg.encode(WireVersion::kV2);
+  const auto bytes = msg.encode();
   const std::size_t fields_start = Message::kLenPrefixSize + 5 + 1 + 1;
   for (int round = 0; round < 4000; ++round) {
     auto mutated = bytes;
@@ -235,7 +237,7 @@ TEST_P(WireV2Fuzz, CorruptedFieldTablesNeverCrash) {
     }
     auto decoded = Message::decode(mutated.data(), mutated.size());
     if (decoded.is_ok()) {
-      auto reencoded = decoded->encode(WireVersion::kV2);
+      auto reencoded = decoded->encode();
       auto redecoded = Message::decode(reencoded.data(), reencoded.size());
       ASSERT_TRUE(redecoded.is_ok());
       EXPECT_EQ(redecoded.value(), decoded.value());
@@ -249,7 +251,7 @@ TEST_P(WireV2Fuzz, MarkedRandomBytesNeverCrash) {
     const std::size_t size = rng.next_below(256);
     std::vector<std::uint8_t> payload(size);
     for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_below(256));
-    if (!payload.empty()) payload[0] = kV2Marker;  // force the v2 path
+    if (!payload.empty()) payload[0] = 0xFD;  // get past the marker check
     std::vector<std::uint8_t> frame;
     const auto len = static_cast<std::uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i) {
@@ -258,7 +260,7 @@ TEST_P(WireV2Fuzz, MarkedRandomBytesNeverCrash) {
     frame.insert(frame.end(), payload.begin(), payload.end());
     auto decoded = Message::decode(frame.data(), frame.size());
     if (decoded.is_ok()) {
-      auto reencoded = decoded->encode(WireVersion::kV2);
+      auto reencoded = decoded->encode();
       auto redecoded = Message::decode(reencoded.data(), reencoded.size());
       ASSERT_TRUE(redecoded.is_ok());
       EXPECT_EQ(redecoded.value(), decoded.value());

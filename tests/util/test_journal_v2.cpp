@@ -1,7 +1,6 @@
-// Block-journal tests (PR 6): batch appends, replay stats, seek-to-sync
-// incremental replay, mid-block corruption recovery, and the legacy
-// text-format compatibility path (pre-block journals keep working and are
-// converted at the first snapshot).
+// Block-journal tests: batch appends, replay stats, seek-to-sync
+// incremental replay, and recovery from corruption anywhere in the log,
+// its first sync marker included.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -178,55 +177,45 @@ TEST_F(BlockJournalTest, SnapshotCorruptionIsFatalNotSilent) {
   EXPECT_FALSE(Journal::open_file(path_).is_ok());
 }
 
-TEST_F(BlockJournalTest, LegacyTextJournalStillReplays) {
-  // A pre-PR-6 journal: plain tab-separated lines, no block framing.
+TEST_F(BlockJournalTest, DamagedFirstSyncMarkerCostsOneBlock) {
   {
-    std::ofstream log(log_path(), std::ios::binary);
-    log << "job\t1\tidle\n"
-        << "job\t2\trunning\n";
+    auto journal = Journal::open_file(path_);
+    ASSERT_TRUE(journal.is_ok());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(journal.value()->append({"job", {std::to_string(i), "idle"}}).is_ok());
+    }
   }
-  auto journal = Journal::open_file(path_);
-  ASSERT_TRUE(journal.is_ok());
-  auto replayed = journal.value()->replay();
-  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-  ASSERT_EQ(replayed->size(), 2u);
-  EXPECT_EQ(replayed->at(1).fields[1], "running");
-
-  // Appends to a legacy log stay text: one file never mixes formats.
-  ASSERT_TRUE(journal.value()->append({"job", {"3", "idle"}}).is_ok());
-  const std::string log = read_file(log_path());
-  EXPECT_NE(log.substr(0, 4), "TDPJ");
-  auto again = journal.value()->replay();
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_EQ(again->size(), 3u);
-
-  // Incremental replay is a block-format feature; legacy logs say so
-  // instead of returning wrong offsets.
-  EXPECT_FALSE(journal.value()->replay_from(0).is_ok());
-
-  // The first snapshot converts everything to blocks.
-  ASSERT_TRUE(journal.value()->write_snapshot(again.value()).is_ok());
-  EXPECT_EQ(read_file(snap_path()).substr(0, 4), "TDPJ");
-  ASSERT_TRUE(journal.value()->append({"job", {"4", "idle"}}).is_ok());
-  EXPECT_EQ(read_file(log_path()).substr(0, 4), "TDPJ");
-  auto converted = journal.value()->replay();
-  ASSERT_TRUE(converted.is_ok());
-  EXPECT_EQ(converted->size(), 4u);
-}
-
-TEST_F(BlockJournalTest, LegacyTextTornTailStillDropped) {
+  // One flipped bit in byte 0: the log no longer starts with "TDPJ", but
+  // it is still a block stream and must be read as one.
   {
-    std::ofstream log(log_path(), std::ios::binary);
-    log << "job\t1\tidle\n"
-        << "job\t2\trun";  // no newline: torn
+    std::fstream f(log_path(), std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(0);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.write(&byte, 1);
   }
-  auto journal = Journal::open_file(path_);
-  ASSERT_TRUE(journal.is_ok());
+  auto reopened = Journal::open_file(path_);
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
   ReplayStats stats;
-  auto replayed = journal.value()->replay(&stats);
-  ASSERT_TRUE(replayed.is_ok());
-  ASSERT_EQ(replayed->size(), 1u);
-  EXPECT_TRUE(stats.torn_tail);
+  auto replayed = reopened.value()->replay(&stats);
+  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+  EXPECT_EQ(stats.resyncs, 1u);
+  ASSERT_EQ(replayed->size(), 39u);
+  for (const Record& record : replayed.value()) EXPECT_EQ(record.type, "job");
+  EXPECT_EQ(replayed->front().fields[0], "1");
+  EXPECT_EQ(replayed->back().fields[0], "39");
+
+  auto delta = reopened.value()->replay_from(0);
+  ASSERT_TRUE(delta.is_ok()) << delta.status().to_string();
+  EXPECT_EQ(delta->size(), 39u);
+
+  // Appends keep writing blocks behind the damaged one.
+  ASSERT_TRUE(reopened.value()->append({"job", {"40", "idle"}}).is_ok());
+  auto again = reopened.value()->replay();
+  ASSERT_TRUE(again.is_ok());
+  ASSERT_EQ(again->size(), 40u);
+  EXPECT_EQ(again->back().fields[0], "40");
 }
 
 }  // namespace
