@@ -6,6 +6,9 @@
 #   scripts/ci.sh            # Release build + full ctest suite
 #   scripts/ci.sh tsan       # TSan build: attrspace stress + chaos/fuzz tier
 #   scripts/ci.sh asan       # ASan+UBSan build of the chaos/fuzz tier
+#   scripts/ci.sh stress     # the suites that touch files, 20 times over
+#                            # under ctest -j8: proves their per-process
+#                            # temp dirs keep parallel cases apart
 #   scripts/ci.sh chaos      # chaos tier: fixed seeds + one time-derived
 #                            # seed (printed, so any failure is replayable)
 #   scripts/ci.sh chaos-kill # daemon-death kill matrix only: paradynd /
@@ -60,7 +63,7 @@ run_tsan() {
   cmake --build build-tsan -j"$(nproc)" \
     --target tdp_attr_tests tdp_chaos_tests tdp_util_tests tdp_scale_tests \
              tdp_chaos_scale_tests tdp_condor_tests \
-             tdp_chaos_integration_tests
+             tdp_chaos_integration_tests tdp_core_tests tdp_integration_tests
   # The stress tests exercise the sharded store (concurrent writers,
   # readers, racing waiters) and the reactor-driven server under client
   # churn - exactly the paths a data race would hide in.
@@ -99,6 +102,23 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_chaos_integration_tests \
     --gtest_filter='*ChaosStorm*'
+  # The owner endpoint: AttrServer::handle_message on the RM's thread and
+  # the I/O thread at once (shared dedup window and admission bucket),
+  # owner replies and notifies queued from either thread, and the
+  # starter's co-located session inside the whole Figure-6 pipeline.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_attr_tests --gtest_filter='OwnerEndpoint*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_core_tests \
+    --gtest_filter='*SessionTest.*:*SessionEventLoopTest.*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_condor_tests --gtest_filter='Starter.*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_integration_tests \
+    --gtest_filter='ParadorTest.*:TracePipelineTest.*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_chaos_integration_tests \
+    --gtest_filter='*ChaosParador*'
 }
 
 run_asan() {
@@ -115,6 +135,17 @@ run_asan() {
     ./build-asan/tests/tdp_chaos_tests
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/tdp_net_tests
+}
+
+run_stress() {
+  # The suites that write files, each case repeated until it fails (at
+  # most 20 times) with 8 cases in parallel. Each test process
+  # writes under its own tests/support/tempdir.hpp directory, so parallel
+  # cases must never see each other's files.
+  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-ci -j"$(nproc)"
+  ctest --test-dir build-ci --output-on-failure -j8 --repeat until-fail:20 \
+    -R '^(PoolPosixTest|StandardUniverseTest|LiveStdioTest|ToolFaultTest|FileTransferTest|Shadow|FailoverExtra|FileJournalTest|BlockJournalTest|PosixBackend|ParadorRealTest|TraceTool|TraceToolPool|Seeds/ChaosKillTest)\.'
 }
 
 run_chaos() {
@@ -431,6 +462,7 @@ case "${1:-release}" in
   release)    run_release ;;
   tsan)       run_tsan ;;
   asan)       run_asan ;;
+  stress)     run_stress ;;
   chaos)      run_chaos ;;
   chaos-kill) run_chaos_kill ;;
   analyze)    run_analyze ;;
@@ -439,7 +471,7 @@ case "${1:-release}" in
   bench-scale) run_bench_scale ;;
   bench-flightrec) run_bench_flightrec ;;
   bench-frontdoor) run_bench_frontdoor ;;
-  all)        run_release; run_tsan; run_asan; run_chaos; run_analyze; run_bench; run_bench_wire; run_bench_scale; run_bench_flightrec; run_bench_frontdoor ;;
-  *) echo "usage: $0 [release|tsan|asan|chaos|chaos-kill|analyze|bench|bench-wire|bench-scale|bench-flightrec|all]" >&2
+  all)        run_release; run_tsan; run_asan; run_stress; run_chaos; run_analyze; run_bench; run_bench_wire; run_bench_scale; run_bench_flightrec; run_bench_frontdoor ;;
+  *) echo "usage: $0 [release|tsan|asan|stress|chaos|chaos-kill|analyze|bench|bench-wire|bench-scale|bench-flightrec|bench-frontdoor|all]" >&2
      exit 2 ;;
 esac

@@ -37,7 +37,13 @@ GENERIC_NAMES = {
     "compare_exchange_strong", "notify_one", "notify_all", "join",
     "detach", "joinable", "is_ok", "status", "message", "ok", "error",
 }
-NAME_UNION_CAP = 8
+# A call whose receiver type is unknown resolves to every method of that
+# name while there are at most this many. Past the cap it resolves to
+# nothing, so the cap must sit above the implementation count of every
+# interface the program dispatches through: at 8, a ninth `close()` (one
+# more Endpoint) silently dropped every unresolved `close()` call and the
+# blocking findings behind them.
+NAME_UNION_CAP = 12
 
 
 @dataclass

@@ -11,7 +11,7 @@ from .concurrency import (run_blocking_rule, run_callback_rule,
                           run_exclusion_rule)
 from .extract import extract_tree
 from .findings import Report, fingerprint_findings
-from .legacy import run_legacy_rules
+from .legacy import run_legacy_rules, run_test_rules
 
 SOURCE_SUFFIXES = (".hpp", ".cpp", ".h", ".cc")
 
@@ -31,11 +31,20 @@ def collect_sources(root: Path) -> list[tuple[str, str]]:
     return out
 
 
+def collect_test_sources(root: Path) -> list[tuple[str, str]]:
+    tests = root / "tests"
+    if not tests.is_dir():
+        return []
+    return [(path.relative_to(root).as_posix(), path.read_text(errors="replace"))
+            for path in sorted(tests.rglob("*.cpp")) if path.is_file()]
+
+
 def analyze_tree(root: Path, use_baseline: bool = True
                  ) -> tuple[Report, Analysis]:
     files = collect_sources(root)
     report = Report()
     run_legacy_rules(files, report)
+    run_test_rules(collect_test_sources(root), report)
 
     program = extract_tree(str(root), files)
     analysis = run_analysis(program)

@@ -1,4 +1,5 @@
-"""The seven PR 3–7 lint rules, ported from scripts/lint.py.
+"""The line rules: seven over src/ ported from scripts/lint.py, plus rule 8
+over tests/.
 
 Rule 2 (blocking-under-lock) is no longer a two-file regex special case:
 it is superseded by the whole-program pass in concurrency.py, which
@@ -55,6 +56,12 @@ MANUAL_FRAMING_EXEMPT_DIRS = ("src/net",)
 RAW_CLOCK_READ = re.compile(
     r"\bstd::chrono::(steady_clock|system_clock|high_resolution_clock)\b")
 RAW_CLOCK_READ_EXEMPT = {"src/util/clock.hpp"}
+
+# Rule 8 (tests/**/*.cpp): shared temp paths ---------------------------------
+
+# ::testing::TempDir() is one directory for every test process ctest runs
+# in parallel, so a fixed name under it is shared between cases.
+SHARED_TEMP_PATH = re.compile(r"\bTempDir\(\)\)?\s*[+/]\s*(u8)?\"")
 
 # Rule 3: unguarded adjacent field ------------------------------------------
 
@@ -146,3 +153,17 @@ def run_legacy_rules(files: list[tuple[str, str]], report: Report) -> None:
                     i = j
                 else:
                     i += 1
+
+
+def run_test_rules(files: list[tuple[str, str]], report: Report) -> None:
+    """files: (repo-relative posix path, raw text) for every tests/ .cpp."""
+    for rel, text in files:
+        for no, line in enumerate(text.splitlines(), 1):
+            code = line.split("//", 1)[0]
+            if SHARED_TEMP_PATH.search(code):
+                report.suppress_or_add(
+                    line, "shared-temp-path", rel, no,
+                    "fixed path under the shared ::testing::TempDir() — "
+                    "parallel ctest processes collide on it; take paths "
+                    "from tests/support/tempdir.hpp (testdir::fresh / "
+                    "testdir::path)")

@@ -140,6 +140,40 @@ void f() {
 }
 """
 
+# Nine classes implement close() and one of them sleeps. `sink` has no
+# declared type, so only the name union over every close() finds the sleep.
+BAD_SLEEP_BEHIND_NAME_UNION = "".join(
+    f"struct Closer{i} {{ void close() {{}} }};\n" for i in range(8)) + """\
+struct SlowCloser {
+  void close() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
+};
+class Holder {
+ public:
+  void drop() {
+    LockGuard lock(mutex_);
+    auto* sink = lookup();
+    sink->close();
+  }
+ private:
+  mutable Mutex mutex_{"Holder::mutex_"};
+};
+"""
+
+BAD_SHARED_TEMP_PATH = """\
+#include <gtest/gtest.h>
+TEST(Pool, Submit) {
+  const std::string dir = ::testing::TempDir() + "/pool_submit";
+}
+"""
+
+GOOD_PROCESS_TEMP_PATH = """\
+#include <gtest/gtest.h>
+#include "support/tempdir.hpp"
+TEST(Pool, Submit) {
+  const std::string dir = tdp::testdir::fresh("pool_submit");
+}
+"""
+
 GOOD_FILE = """\
 #include "util/sync.hpp"
 struct S {
@@ -159,6 +193,9 @@ INLINE_CASES = [
      ["callback-under-lock"]),
     ("acquired-after inversion", {"src/util/pair.hpp": BAD_INVERSION},
      ["lock-order-cycle"]),
+    ("sleep behind a nine-way name union",
+     {"src/net/closers.hpp": BAD_SLEEP_BEHIND_NAME_UNION},
+     ["blocking-under-lock"]),
     ("condvar wait holds only its own lock",
      {"src/util/queue.hpp": GOOD_CONDVAR_WAIT}, []),
     ("callback copied out and invoked outside",
@@ -178,6 +215,11 @@ INLINE_CASES = [
      ["raw-clock-read"]),
     ("clock read in util/clock.hpp", {"src/util/clock.hpp": BAD_CLOCK_READ},
      []),
+    ("TempDir() joined to a literal in a test",
+     {"tests/condor/test_pool.cpp": BAD_SHARED_TEMP_PATH},
+     ["shared-temp-path"]),
+    ("per-process test temp dir",
+     {"tests/condor/test_pool.cpp": GOOD_PROCESS_TEMP_PATH}, []),
     ("clean file", {"src/good.hpp": GOOD_FILE}, []),
 ]
 

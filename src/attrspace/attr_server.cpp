@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <optional>
 
 #include "attrspace/attr_protocol.hpp"
+#include "net/inproc.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 
@@ -48,6 +48,56 @@ bool is_indexed_key(std::string_view key, std::string_view prefix,
 
 }  // namespace
 
+/// The owner's side of connect_local(). A send dispatches the request on
+/// the calling thread; the server answers into the server half of an
+/// in-process pair, whose client half `replies_` this endpoint receives
+/// from. It holds no lock of its own across the dispatch, because its
+/// calls never overlap (see connect_local).
+class AttrServer::OwnerEndpoint final : public net::Endpoint {
+ public:
+  OwnerEndpoint(AttrServer& server, std::shared_ptr<Connection> conn,
+                std::unique_ptr<net::Endpoint> replies)
+      : server_(server), conn_(std::move(conn)), replies_(std::move(replies)) {}
+
+  ~OwnerEndpoint() override { OwnerEndpoint::close(); }
+
+  using Endpoint::send;
+
+  Status send(const Message& msg) override { return send(Message(msg)); }
+
+  Status send(Message&& msg) override {
+    if (!replies_->is_open()) {
+      return make_error(ErrorCode::kConnectionError, "owner endpoint closed");
+    }
+    conn_->view.adopt(std::move(msg));
+    server_.handle_message(conn_->view, *conn_);
+    return Status::ok();
+  }
+
+  Result<Message> receive(int timeout_ms) override {
+    return replies_->receive(timeout_ms);
+  }
+
+  [[nodiscard]] int readable_fd() const override { return replies_->readable_fd(); }
+
+  [[nodiscard]] bool is_open() const override { return replies_->is_open(); }
+
+  /// Once the server has torn the connection down (stop()) the reply
+  /// channel is closed, so this never touches a stopped server.
+  void close() override {
+    if (replies_->is_open()) server_.close_owner(conn_);
+  }
+
+  [[nodiscard]] std::string peer_address() const override {
+    return replies_->peer_address();
+  }
+
+ private:
+  AttrServer& server_;
+  std::shared_ptr<Connection> conn_;
+  std::unique_ptr<net::Endpoint> replies_;
+};
+
 AttrServer::AttrServer(std::string name, std::shared_ptr<net::Transport> transport)
     : name_(std::move(name)), transport_(std::move(transport)) {}
 
@@ -61,7 +111,6 @@ Result<std::string> AttrServer::start(const std::string& listen_address) {
   running_.store(true, std::memory_order_release);
   reactor_.add_readable(listener_->readable_fd(), [this] { on_acceptable(); });
   io_thread_ = std::thread([this] {
-    io_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
     while (running_.load(std::memory_order_acquire)) {
       reactor_.run_once(-1);
     }
@@ -77,19 +126,45 @@ void AttrServer::stop() {
   if (io_thread_.joinable()) io_thread_.join();
 
   std::map<int, std::shared_ptr<Connection>> conns;
+  std::vector<std::shared_ptr<Connection>> owners;
   {
     LockGuard lock(conns_mutex_);
     conns.swap(conns_);
+    owners.swap(owners_);
   }
   for (auto& [fd, conn] : conns) {
     reactor_.remove(fd);
     teardown(*conn);
   }
+  for (auto& conn : owners) teardown(*conn);
   if (listener_) {
     reactor_.remove(listener_->readable_fd());
     listener_->close();
   }
   if (recorder_) recorder_->state("stop", "");
+}
+
+std::unique_ptr<net::Endpoint> AttrServer::connect_local() {
+  net::InProcPair channel = net::make_inproc_pair(name_, "owner");
+  auto conn = std::make_shared<Connection>();
+  conn->endpoint = std::move(channel.server);
+  {
+    LockGuard lock(conns_mutex_);
+    owners_.push_back(conn);
+  }
+  if (recorder_) recorder_->state("owner", "");
+  return std::make_unique<OwnerEndpoint>(*this, std::move(conn),
+                                         std::move(channel.client));
+}
+
+void AttrServer::close_owner(const std::shared_ptr<Connection>& conn) {
+  {
+    LockGuard lock(conns_mutex_);
+    auto it = std::find(owners_.begin(), owners_.end(), conn);
+    if (it == owners_.end()) return;  // stop() already tore it down
+    owners_.erase(it);
+  }
+  teardown(*conn);
 }
 
 void AttrServer::on_acceptable() {
@@ -143,22 +218,8 @@ void AttrServer::on_readable(int fd) {
   }
 }
 
-void AttrServer::assert_io_thread() const {
-#if TDP_LOCK_ORDER_CHECKS
-  const std::thread::id io_id = io_thread_id_.load(std::memory_order_acquire);
-  if (io_id != std::thread::id{} && io_id != std::this_thread::get_id()) {
-    log::Logger(name_).error("dedup window touched off the I/O thread");
-    std::abort();
-  }
-#endif
-}
-
 bool AttrServer::remember_batch(const std::string& batch_id) {
-  // The recent-batch window is intentionally lock-free: only the reactor's
-  // I/O thread may reach it, and it must not be reached with the connection
-  // table locked (send() inside could then deadlock against stop()).
-  assert_io_thread();
-  conns_mutex_.assert_not_held();
+  LockGuard lock(admission_mutex_);
   if (!recent_batch_ids_.insert(batch_id).second) return false;
   recent_batch_order_.push_back(batch_id);
   if (recent_batch_order_.size() > kBatchWindow) {
@@ -169,28 +230,31 @@ bool AttrServer::remember_batch(const std::string& batch_id) {
 }
 
 int AttrServer::admit_write() {
+  // Disabled admission (the default) costs no lock on the write path.
   if (!admission_.enabled) return 0;
-  // Same lock-free discipline as the batch window: only the I/O thread
-  // touches the bucket, so admission adds zero lock traffic to the hot path.
-  assert_io_thread();
-  const Micros now = admission_.clock->now_micros();
-  if (admission_refill_at_ == 0) admission_refill_at_ = now;
-  if (now > admission_refill_at_) {
-    const double elapsed_s =
-        static_cast<double>(now - admission_refill_at_) / 1e6;
-    admission_tokens_ = std::min(admission_.burst,
-                                 admission_tokens_ +
-                                     elapsed_s * admission_.puts_per_sec);
-    admission_refill_at_ = now;
-  }
-  if (admission_tokens_ >= 1.0) {
-    admission_tokens_ -= 1.0;
-    return 0;
+  const Micros now = admission_.clock->now_micros();  // before the leaf lock
+  double tokens = 0.0;
+  {
+    LockGuard lock(admission_mutex_);
+    if (admission_refill_at_ == 0) admission_refill_at_ = now;
+    if (now > admission_refill_at_) {
+      const double elapsed_s =
+          static_cast<double>(now - admission_refill_at_) / 1e6;
+      admission_tokens_ = std::min(admission_.burst,
+                                   admission_tokens_ +
+                                       elapsed_s * admission_.puts_per_sec);
+      admission_refill_at_ = now;
+    }
+    if (admission_tokens_ >= 1.0) {
+      admission_tokens_ -= 1.0;
+      return 0;
+    }
+    tokens = admission_tokens_;
   }
   busy_replies_.fetch_add(1, std::memory_order_relaxed);
   // Hint = time until one whole token refills at the sustained rate. The
   // hint paces the herd; the client layers jitter on top of it.
-  const double deficit = 1.0 - admission_tokens_;
+  const double deficit = 1.0 - tokens;
   const double rate =
       admission_.puts_per_sec > 0.0 ? admission_.puts_per_sec : 1.0;
   const int hint_ms = static_cast<int>(deficit * 1000.0 / rate) + 1;

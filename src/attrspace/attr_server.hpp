@@ -18,9 +18,12 @@
 // listener plus every client endpoint (Section 3.3's "central polling
 // loop"), so the server's thread count is constant no matter how many
 // daemons connect. Requests are parsed zero-copy into a per-connection
-// MessageView and handled inline on the I/O thread; parked-get and
+// MessageView and handled inline on the I/O thread. The one exception is
+// the owner endpoint (connect_local): the RM that started this server
+// sends on it, and each request is handled inline on the sending thread,
+// so the RM's round trips never wait for the I/O thread. Parked-get and
 // subscription callbacks fire from whichever thread performs the matching
-// put (normally also the I/O thread).
+// put.
 #pragma once
 
 #include <atomic>
@@ -55,8 +58,23 @@ class AttrServer {
   /// clients should use.
   Result<std::string> start(const std::string& listen_address);
 
-  /// Stops serving, closes all client connections, joins the I/O thread.
+  /// Stops serving, closes all client connections (owner endpoints
+  /// included), joins the I/O thread.
   void stop();
+
+  /// The owner's endpoint: a connection for the process that runs this
+  /// server, with no transport and no I/O thread in between. Each request
+  /// sent on it is handled on the sending thread by the same dispatch code
+  /// as a socket request (trace headers, dispatch spans, refcounts, parked
+  /// gets); replies, parked-get completions and notifies queue for
+  /// receive(), and readable_fd() mirrors that queue level-triggered.
+  /// Closing it (or stop()) is an implicit tdp_exit, and a send after that
+  /// fails with kConnectionError.
+  ///
+  /// Calls on the endpoint must not overlap (AttrClient serializes its
+  /// own), and stop() must not race one in flight. A put sent here fires
+  /// store callbacks on the sending thread.
+  std::unique_ptr<net::Endpoint> connect_local();
 
   [[nodiscard]] std::string address() const { return address_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -65,7 +83,8 @@ class AttrServer {
   /// the LASS in-process.
   AttributeStore& store() noexcept { return store_; }
 
-  /// Number of client connections served so far.
+  /// Number of transport connections accepted so far (owner endpoints do
+  /// not count).
   [[nodiscard]] std::size_t connections_served() const {
     return connections_.load(std::memory_order_relaxed);
   }
@@ -103,10 +122,11 @@ class AttrServer {
     const Clock* clock = &RealClock::instance();
   };
 
-  /// Installs the write-admission policy. Call before start(): the bucket
-  /// state lives on the I/O thread, like the batch-dedup window.
+  /// Installs the write-admission policy. Call before start() and before
+  /// connect_local(): the policy is read without a lock afterwards.
   void set_admission(AdmissionConfig admission) {
     admission_ = admission;
+    LockGuard lock(admission_mutex_);
     admission_tokens_ = admission.burst;
   }
 
@@ -116,8 +136,12 @@ class AttrServer {
   }
 
  private:
-  /// Per-connection state, owned by the I/O thread (created on accept,
-  /// destroyed on disconnect or stop()).
+  class OwnerEndpoint;
+
+  /// Per-connection state, touched only where the connection's requests
+  /// are dispatched: on the I/O thread for an accepted connection, inside
+  /// the owner's (serialized) sends for an owner endpoint. Destroyed on
+  /// disconnect or stop().
   struct Connection {
     std::shared_ptr<net::Endpoint> endpoint;
     std::vector<std::uint64_t> watcher_ids;    ///< waiters/subscriptions owned here
@@ -129,23 +153,22 @@ class AttrServer {
   };
 
   /// Remembers `batch_id` in the bounded recent-batch window; returns false
-  /// when it was already present (replay). I/O thread only (asserted in
-  /// Debug), which is why the window needs no lock.
-  bool remember_batch(const std::string& batch_id) TDP_EXCLUDES(conns_mutex_);
-
-  /// Debug check that the caller is the reactor I/O thread — the lock-free
-  /// dedup window and per-connection state rely on it.
-  void assert_io_thread() const;
+  /// when it was already present (replay).
+  bool remember_batch(const std::string& batch_id) TDP_EXCLUDES(admission_mutex_);
 
   void on_acceptable();
   void on_readable(int fd);
+  /// Dispatches one request of `conn`. Runs on the I/O thread and on
+  /// owner threads at once; only the dedup window and the admission bucket
+  /// are shared between them, under admission_mutex_.
   void handle_message(const net::MessageView& msg, Connection& conn);
   /// Refills the admission bucket and takes one token. Returns 0 when the
   /// write is admitted, else the retry-after hint (ms) for the busy reply.
-  /// I/O thread only, like the batch window: no lock.
-  int admit_write();
+  int admit_write() TDP_EXCLUDES(admission_mutex_);
   /// Cancels watchers, applies implicit exits, closes the endpoint.
   void teardown(Connection& conn);
+  /// Tears down an owner endpoint's connection unless stop() already did.
+  void close_owner(const std::shared_ptr<Connection>& conn) TDP_EXCLUDES(conns_mutex_);
 
   std::string name_;
   std::shared_ptr<net::Transport> transport_;
@@ -155,35 +178,36 @@ class AttrServer {
 
   net::Reactor reactor_;
   std::thread io_thread_;
-  /// Published by the I/O thread before its first reactor turn; callbacks
-  /// assert against it in Debug.
-  std::atomic<std::thread::id> io_thread_id_{};
   std::atomic<bool> running_{false};
   std::atomic<std::size_t> connections_{0};
   std::atomic<std::size_t> batches_applied_{0};
   std::atomic<std::size_t> batches_deduped_{0};
-
-  /// Recently applied batch ids (bounded FIFO window); touched only on the
-  /// I/O thread, so no lock. The window must exceed any plausible number of
-  /// batches in flight between a client's send and its retry, not the
-  /// lifetime batch count — 1024 is orders of magnitude beyond that.
-  std::unordered_set<std::string> recent_batch_ids_;
-  std::deque<std::string> recent_batch_order_;
+  std::atomic<std::size_t> busy_replies_{0};
   static constexpr std::size_t kBatchWindow = 1024;
 
-  /// Write-admission bucket; set before start(), refilled/spent only on
-  /// the I/O thread.
-  AdmissionConfig admission_;
-  double admission_tokens_ = 0.0;
-  Micros admission_refill_at_ = 0;
-  std::atomic<std::size_t> busy_replies_{0};
-
   std::shared_ptr<flightrec::Recorder> recorder_;
+  /// Write-admission policy; set before start(), read-only afterwards.
+  AdmissionConfig admission_;
 
-  /// The I/O thread mutates the connection table, stop() (any thread)
-  /// drains it.
+  /// Leaf lock over the write path's server-wide state, which the I/O
+  /// thread and owner threads share: held only to read and update it,
+  /// never across a store call, a send or a clock read.
+  Mutex admission_mutex_{"AttrServer::admission_mutex_"};
+  /// Recently applied batch ids (bounded FIFO window). The window must
+  /// exceed any plausible number of batches in flight between a client's
+  /// send and its retry, not the lifetime batch count — 1024 is orders of
+  /// magnitude beyond that.
+  std::unordered_set<std::string> recent_batch_ids_ TDP_GUARDED_BY(admission_mutex_);
+  std::deque<std::string> recent_batch_order_ TDP_GUARDED_BY(admission_mutex_);
+  /// The admission bucket.
+  double admission_tokens_ TDP_GUARDED_BY(admission_mutex_) = 0.0;
+  Micros admission_refill_at_ TDP_GUARDED_BY(admission_mutex_) = 0;
+
+  /// The I/O thread mutates the accepted-connection table and
+  /// connect_local() the owner list; stop() (any thread) drains both.
   Mutex conns_mutex_{"AttrServer::conns_mutex_"};
   std::map<int, std::shared_ptr<Connection>> conns_ TDP_GUARDED_BY(conns_mutex_);
+  std::vector<std::shared_ptr<Connection>> owners_ TDP_GUARDED_BY(conns_mutex_);
 };
 
 }  // namespace tdp::attr

@@ -144,9 +144,8 @@ Status AttributeStore::put(std::string_view context, std::string_view attribute,
       attr_it->second.value = std::move(value);
       attr_it->second.trace = trace;
     }
-    fired_value = attr_it->second.value;
-
     match_watchers_locked(shard, context, attribute, to_fire);
+    if (!to_fire.empty()) fired_value = attr_it->second.value;
   }
   if (!to_fire.empty()) {
     // PR 1 invariant, asserted: watcher callbacks fire outside the shard
@@ -159,7 +158,6 @@ Status AttributeStore::put(std::string_view context, std::string_view attribute,
       callback(ctx_name, attr_name, fired_value, trace);
     }
   }
-  maybe_journal_put(context, attribute, fired_value, trace);
   return Status::ok();
 }
 
@@ -304,83 +302,6 @@ bool AttributeStore::pattern_matches(const std::string& pattern,
     return attribute.substr(0, prefix.size()) == prefix;
   }
   return pattern == attribute;
-}
-
-// ---------------------------------------------------------------------
-// Durability (PR 5)
-// ---------------------------------------------------------------------
-
-void AttributeStore::configure_durability(journal::Journal* journal,
-                                          std::vector<std::string> prefixes) {
-  LockGuard lock(durability_mutex_);
-  durable_journal_ = journal;
-  durable_prefixes_ = std::move(prefixes);
-}
-
-void AttributeStore::maybe_journal_put(std::string_view context,
-                                       std::string_view attribute,
-                                       const std::string& value,
-                                       const std::string& trace) {
-  LockGuard lock(durability_mutex_);
-  if (durable_journal_ == nullptr) return;
-  const bool durable = std::any_of(
-      durable_prefixes_.begin(), durable_prefixes_.end(),
-      [&](const std::string& prefix) {
-        return attribute.substr(0, prefix.size()) == prefix;
-      });
-  if (!durable) return;
-  Status appended = durable_journal_->append(
-      {"attr",
-       {std::string(context), std::string(attribute), value, trace}});
-  (void)appended;  // a failed append degrades durability, not service
-}
-
-Status AttributeStore::recover_durable() {
-  journal::Journal* journal = nullptr;
-  {
-    // Detach while replaying so the puts below do not re-journal what the
-    // journal itself just said.
-    LockGuard lock(durability_mutex_);
-    journal = durable_journal_;
-    durable_journal_ = nullptr;
-  }
-  if (journal == nullptr) {
-    return make_error(ErrorCode::kInvalidState, "durability not configured");
-  }
-  journal::ReplayStats replay_stats;
-  auto replayed = journal->replay(&replay_stats);
-  if (!replayed.is_ok()) {
-    LockGuard lock(durability_mutex_);
-    durable_journal_ = journal;
-    return replayed.status();
-  }
-  if (replay_stats.resyncs > 0 || replay_stats.torn_tail) {
-    telemetry::Registry::instance()
-        .counter("attr.durability_resyncs")
-        .add(replay_stats.resyncs + (replay_stats.torn_tail ? 1 : 0));
-  }
-  // Last record per (context, attribute) wins; puts are applied in order
-  // so watchers observe the same final state a live daemon produced.
-  std::vector<journal::Record> survivors;
-  std::map<std::string, std::size_t> last_index;
-  for (const journal::Record& record : replayed.value()) {
-    if (record.type != "attr" || record.fields.size() < 4) continue;
-    put(record.fields[0], record.fields[1], record.fields[2], record.fields[3]);
-    const std::string key = record.fields[0] + "\x1f" + record.fields[1];
-    auto it = last_index.find(key);
-    if (it == last_index.end()) {
-      last_index[key] = survivors.size();
-      survivors.push_back(record);
-    } else {
-      survivors[it->second] = record;
-    }
-  }
-  Status compacted = journal->write_snapshot(survivors);
-  {
-    LockGuard lock(durability_mutex_);
-    durable_journal_ = journal;
-  }
-  return compacted;
 }
 
 }  // namespace tdp::attr

@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/journal.hpp"
 #include "util/status.hpp"
 #include "util/sync.hpp"
 
@@ -144,21 +143,6 @@ class AttributeStore {
   /// Count of outstanding waiters + subscriptions (diagnostics/tests).
   [[nodiscard]] std::size_t watcher_count() const;
 
-  // --- durability (PR 5) ---
-
-  /// Flags attribute-name prefixes as durable: every put whose attribute
-  /// starts with one of `prefixes` is also appended to `journal` (not
-  /// owned; must outlive the store). A LASS restarted after a crash calls
-  /// recover_durable() to reload them - the paper's pid rediscovery
-  /// (Figure 6) depends on entries like "pid" surviving the server.
-  void configure_durability(journal::Journal* journal,
-                            std::vector<std::string> prefixes);
-
-  /// Replays durable entries from the journal into the store (watchers
-  /// fire as for normal puts), then compacts the journal to a snapshot of
-  /// the surviving entries. kInvalidState without configure_durability.
-  Status recover_durable();
-
  private:
   struct Watcher {
     std::uint64_t id = 0;
@@ -207,19 +191,8 @@ class AttributeStore {
 
   static bool pattern_matches(const std::string& pattern, std::string_view attribute);
 
-  /// Appends (context, attribute, value, trace) to the durable journal when
-  /// the attribute carries a durable prefix. Called outside shard locks.
-  void maybe_journal_put(std::string_view context, std::string_view attribute,
-                         const std::string& value, const std::string& trace);
-
   std::array<Shard, kShardCount> shards_;
   std::atomic<std::uint64_t> next_id_{1};
-
-  /// Leaf lock (like the journal's own): taken after any shard mutex is
-  /// released, never while calling out.
-  mutable Mutex durability_mutex_{"AttributeStore::durability_mutex_"};
-  journal::Journal* durable_journal_ TDP_GUARDED_BY(durability_mutex_) = nullptr;
-  std::vector<std::string> durable_prefixes_ TDP_GUARDED_BY(durability_mutex_);
 };
 
 }  // namespace tdp::attr

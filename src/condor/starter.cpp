@@ -196,6 +196,10 @@ Status Starter::start_lass() {
     // Every paradynd beat that lands in this LASS renews its lease. The
     // store fires watchers outside its shard lock, and LeaseMonitor is
     // thread-safe, so observing straight from the I/O thread is fine.
+    // A store callback on this LASS may also fire on the starter's own
+    // thread, inside one of its RM calls (a put over the owner endpoint,
+    // with the session's client lock held), so it must never call back
+    // into the RM session.
     lass_->store().subscribe(
         context_, std::string(lease::kLivenessPrefix) + "paradynd.*",
         [this](const std::string&, const std::string& attribute, const std::string&) {
@@ -217,14 +221,16 @@ Status Starter::start_lass() {
 Status Starter::init_tdp() {
   InitOptions options;
   options.role = Role::kResourceManager;
-  options.lass_address = lass_address_;
   options.context = context_;
   options.transport = config_.transport;
   options.backend = config_.backend;
   options.proxy_address = config_.proxy_address;
   options.cass_address = config_.cass_address;
   options.retry = config_.retry;
-  auto session = TdpSession::init(std::move(options));
+  // The starter started this LASS, so it joins over the server's owner
+  // endpoint: its requests dispatch on this thread instead of crossing the
+  // transport and waking the server's I/O thread and then this one.
+  auto session = TdpSession::adopt(std::move(options), lass_->connect_local());
   if (!session.is_ok()) return session.status();
   session_ = std::move(session).value();
 
@@ -596,6 +602,17 @@ bool Starter::pump() {
   // Pump turns run on the pool thread with no span on the stack; restore
   // the job's context so late rank creation and finish() join its tree.
   telemetry::ScopedAmbient ambient(telemetry::parse_context(job_.trace));
+  const bool finished = turn();
+  // Serve until quiet. A tool request that arrives while this turn's own
+  // RM calls wait for their replies is queued behind a descriptor that no
+  // longer reads as ready, so it is served here rather than on the next
+  // tick.
+  while (!finished && session_->service_events() > 0) {
+  }
+  return finished;
+}
+
+bool Starter::turn() {
   session_->service_events();
   if (telemetry_pub_) telemetry_pub_->maybe_publish();
   if (config_.live_stdio) forward_stdio();

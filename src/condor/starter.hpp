@@ -182,8 +182,9 @@ class Starter {
 
   /// One turn of the starter's central poll loop: services TDP events,
   /// advances MPI staged startup, detects completion/failure, stages
-  /// output files, and reports to the shadow. Returns true when the job
-  /// has reached a terminal state.
+  /// output files, and reports to the shadow, then services events until
+  /// a pass dispatches nothing. Returns true when the job has reached a
+  /// terminal state.
   bool pump();
 
   [[nodiscard]] bool done() const noexcept { return done_; }
@@ -208,6 +209,10 @@ class Starter {
   /// The RM-side TDP session (tests; also how a startd injects control).
   TdpSession& rm_session() { return *session_; }
 
+  /// This job's LASS, which the starter started and joined over its owner
+  /// endpoint (tests). Valid between launch() and shutdown().
+  attr::AttrServer& lass() { return *lass_; }
+
   /// Kills all application processes and tears down the LASS.
   void shutdown();
 
@@ -218,6 +223,8 @@ class Starter {
   }
 
  private:
+  /// pump() without the final serve-until-quiet loop.
+  bool turn();
   Status setup_sandbox();
   Status start_lass();
   Status init_tdp();

@@ -40,6 +40,18 @@ bool parse_control_value(const std::string& value, std::string* op, proc::Pid* p
   return true;
 }
 
+/// What init() and adopt() both require.
+Status validate(const InitOptions& options) {
+  if (!options.transport) {
+    return make_error(ErrorCode::kInvalidArgument, "InitOptions.transport is required");
+  }
+  if (options.role == Role::kResourceManager && !options.backend) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "an RM session requires a ProcessBackend");
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 namespace control {
@@ -66,28 +78,40 @@ TdpSession::TdpSession(InitOptions options)
       request_token_(make_request_token()) {}
 
 Result<std::unique_ptr<TdpSession>> TdpSession::init(InitOptions options) {
-  if (!options.transport) {
-    return make_error(ErrorCode::kInvalidArgument, "InitOptions.transport is required");
-  }
   if (options.lass_address.empty()) {
     return make_error(ErrorCode::kInvalidArgument,
                       "InitOptions.lass_address is required: every TDP process "
                       "must reach its local attribute space server");
   }
-  if (options.role == Role::kResourceManager && !options.backend) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "an RM session requires a ProcessBackend");
-  }
+  TDP_RETURN_IF_ERROR(validate(options));
   std::unique_ptr<TdpSession> session(new TdpSession(std::move(options)));
-  TDP_RETURN_IF_ERROR(session->connect_spaces());
+  TDP_RETURN_IF_ERROR(session->connect_spaces(nullptr));
   return session;
 }
 
-Status TdpSession::connect_spaces() {
-  auto lass = attr::AttrClient::connect(*options_.transport, options_.lass_address,
-                                        context_, options_.retry);
-  if (!lass.is_ok()) return lass.status();
-  lass_ = std::move(lass).value();
+Result<std::unique_ptr<TdpSession>> TdpSession::adopt(
+    InitOptions options, std::unique_ptr<net::Endpoint> lass) {
+  if (!lass) {
+    return make_error(ErrorCode::kInvalidArgument, "adopt needs a LASS endpoint");
+  }
+  TDP_RETURN_IF_ERROR(validate(options));
+  std::unique_ptr<TdpSession> session(new TdpSession(std::move(options)));
+  TDP_RETURN_IF_ERROR(session->connect_spaces(std::move(lass)));
+  return session;
+}
+
+Status TdpSession::connect_spaces(std::unique_ptr<net::Endpoint> lass_endpoint) {
+  if (lass_endpoint) {
+    auto lass = attr::AttrClient::adopt(std::move(lass_endpoint), context_);
+    if (!lass.is_ok()) return lass.status();
+    lass_ = std::move(lass).value();
+    lass_->set_retry_policy(options_.retry);
+  } else {
+    auto lass = attr::AttrClient::connect(*options_.transport, options_.lass_address,
+                                          context_, options_.retry);
+    if (!lass.is_ok()) return lass.status();
+    lass_ = std::move(lass).value();
+  }
 
   if (!options_.cass_address.empty()) {
     // The CASS lives on the front-end host, possibly across a firewall;

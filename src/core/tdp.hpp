@@ -99,6 +99,16 @@ class TdpSession {
   /// any TDP subsequent action."
   static Result<std::unique_ptr<TdpSession>> init(InitOptions options);
 
+  /// tdp_init over an endpoint already connected to the LASS, the way
+  /// AttrClient::adopt joins over a proxied one. An RM that starts its own
+  /// LASS joins it through the server's owner endpoint
+  /// (AttrServer::connect_local) rather than dialing it, so
+  /// `options.lass_address` is not used; the rest of `options` means what
+  /// it means for init(). With no dial string the LASS link is never
+  /// redialed; `options.retry` still governs replay.
+  static Result<std::unique_ptr<TdpSession>> adopt(InitOptions options,
+                                                   std::unique_ptr<net::Endpoint> lass);
+
   ~TdpSession();
 
   TdpSession(const TdpSession&) = delete;
@@ -219,7 +229,9 @@ class TdpSession {
  private:
   explicit TdpSession(InitOptions options);
 
-  Status connect_spaces();
+  /// Joins the LASS over `lass`, or dials options_.lass_address when it is
+  /// null, then the CASS; an RM also subscribes to control requests.
+  Status connect_spaces(std::unique_ptr<net::Endpoint> lass);
 
   /// RM: executes one control op named by a tool request attribute.
   void serve_control_request(const std::string& attribute, const std::string& value);

@@ -328,6 +328,17 @@ bool is_inproc_address(const std::string& address) {
   return str::starts_with(address, "inproc://");
 }
 
+InProcPair make_inproc_pair(std::string client_peer, std::string server_peer) {
+  auto channel = std::make_shared<detail::InProcChannel>();
+  InProcPair pair;
+  pair.server = std::make_unique<detail::InProcEndpoint>(channel, /*is_server=*/true,
+                                                         std::move(server_peer));
+  pair.client = std::make_unique<detail::InProcEndpoint>(std::move(channel),
+                                                         /*is_server=*/false,
+                                                         std::move(client_peer));
+  return pair;
+}
+
 std::shared_ptr<InProcTransport> InProcTransport::create() {
   return std::shared_ptr<InProcTransport>(new InProcTransport());
 }
@@ -369,13 +380,9 @@ Result<std::unique_ptr<Endpoint>> InProcTransport::connect(const std::string& ad
   if (state->closed()) {
     return make_error(ErrorCode::kConnectionError, "inproc listener closed: " + name);
   }
-  auto channel = std::make_shared<detail::InProcChannel>();
-  auto server_side = std::make_unique<detail::InProcEndpoint>(channel, /*is_server=*/true,
-                                                              "inproc://client");
-  auto client_side = std::make_unique<detail::InProcEndpoint>(channel, /*is_server=*/false,
-                                                              address);
-  state->enqueue(std::move(server_side));
-  return std::unique_ptr<Endpoint>(std::move(client_side));
+  InProcPair pair = make_inproc_pair(address, "inproc://client");
+  state->enqueue(std::move(pair.server));
+  return std::move(pair.client);
 }
 
 std::size_t InProcTransport::listener_count() const {

@@ -53,4 +53,17 @@ class InProcTransport final : public Transport,
 /// True when `address` uses the inproc:// scheme.
 bool is_inproc_address(const std::string& address);
 
+/// Two connected in-process endpoints with no listener behind them: what
+/// one half sends, the other receives, and closing either half closes the
+/// channel. InProcTransport::connect hands out such pairs, and an
+/// AttrServer's owner endpoint carries its replies on one.
+struct InProcPair {
+  std::unique_ptr<Endpoint> client;
+  std::unique_ptr<Endpoint> server;
+};
+
+/// `client_peer` / `server_peer` are what each half reports as its
+/// peer_address().
+InProcPair make_inproc_pair(std::string client_peer, std::string server_peer);
+
 }  // namespace tdp::net

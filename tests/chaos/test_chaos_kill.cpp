@@ -48,6 +48,7 @@
 #include "condor/pool.hpp"
 #include "paradyn/paradynd.hpp"
 #include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 #include "util/flightrec.hpp"
 #include "util/health.hpp"
 #include "util/journal.hpp"
@@ -278,8 +279,7 @@ bool job_terminal(KillCluster& cluster, JobId id) {
 /// Per-test capsule directory so a stale capsule from another scenario can
 /// never satisfy an assertion.
 std::string capsule_dir_for(const std::string& tag, std::uint64_t seed) {
-  return ::testing::TempDir() + "tdp_capsules_" + tag + "_" +
-         std::to_string(seed);
+  return testdir::path("capsules_" + tag + "_" + std::to_string(seed));
 }
 
 /// Reads and decodes the capsule `role`.`host`, failing the test loudly on

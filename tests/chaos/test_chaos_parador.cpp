@@ -2,13 +2,15 @@
 //
 // The end-to-end claim of the paper's failure model: the RM, the tool
 // daemon and the application fail independently, and the coupled system
-// still makes progress. Here every link in the Figure-6 choreography —
-// schedd/startd bookkeeping aside (in-process), that is the starter's LASS
-// sessions, paradynd's LASS session and the paradynd -> front-end stream —
-// runs over one FaultyTransport. With retry enabled at every TDP session,
-// the monitored job must still complete; metric reports are explicitly
-// sacrificial (the front-end link may die for good, and the daemon then
-// profiles on without it).
+// still makes progress. Here every transport link in the Figure-6
+// choreography — paradynd's LASS session and the paradynd -> front-end
+// stream — runs over one FaultyTransport. Two parts do not cross it: the
+// schedd/startd bookkeeping (in-process), and the starter's own LASS
+// session, which joins the LASS the starter started over the server's
+// owner endpoint rather than a transport connection. With retry enabled
+// at every TDP session, the monitored job must still complete; metric
+// reports are explicitly sacrificial (the front-end link may die for
+// good, and the daemon then profiles on without it).
 
 #include <gtest/gtest.h>
 

@@ -10,7 +10,11 @@
 #include "condor/matchmaker.hpp"
 #include "condor/schedd.hpp"
 #include "condor/startd.hpp"
+#include "condor/starter.hpp"
 #include "condor/pool.hpp"
+#include "net/inproc.hpp"
+#include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -85,8 +89,7 @@ TEST(Shadow, ForwardsStatusToSchedd) {
 }
 
 TEST(Shadow, RemoteSyscalls) {
-  std::string dir = ::testing::TempDir() + "/shadow_rsc";
-  std::filesystem::create_directories(dir);
+  const std::string dir = testdir::fresh("shadow_rsc");
   Shadow shadow(1, dir, nullptr);
 
   ASSERT_TRUE(shadow.remote_write("result.txt", "output data").is_ok());
@@ -193,6 +196,48 @@ TEST(Startd, ActivateRequiresMatchingClaim) {
   StarterConfig config;  // incomplete config is fine: activation must fail first
   auto result = startd.activate(record, config, nullptr);
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidState);
+}
+
+// --- starter ---
+
+TEST(Starter, PumpServesARequestQueuedDuringItsOwnCall) {
+  // A tool request that reaches the RM while the RM waits on one of its
+  // own calls is queued behind a descriptor that no longer reads as ready.
+  // pump() must still serve it before returning, not on the next tick.
+  auto backend = std::make_shared<proc::SimProcessBackend>();
+  JobRecord record;
+  record.id = 3;
+  record.description.executable = "app";
+  record.description.sim_work_units = 100;
+  StarterConfig config;
+  config.transport = net::InProcTransport::create();
+  config.backend = backend;
+  config.use_real_files = false;
+  Starter starter(std::move(record), std::move(config), nullptr);
+  ASSERT_TRUE(starter.launch().is_ok());
+  const proc::Pid app = starter.app_pid();
+  const std::string pid = std::to_string(app);
+
+  // The tool's first request is queued before the turn. Serving it, the RM
+  // puts its reply, and the moment that reply lands the tool sends its
+  // second request: a store callback writes it as the tool would, while
+  // the RM is still inside that put. (It writes into the store, never into
+  // the RM's session.)
+  attr::AttributeStore& store = starter.lass().store();
+  const std::string context = starter.context();
+  store.subscribe(context, control::reply_attr("tool", 0),
+                  [&](const std::string&, const std::string&, const std::string&) {
+                    store.put(context, control::request_attr("tool", 1),
+                              "op:continue pid:" + pid);
+                  });
+  ASSERT_TRUE(
+      store.put(context, control::request_attr("tool", 0), "op:pause pid:" + pid).is_ok());
+
+  EXPECT_FALSE(starter.pump());
+  EXPECT_EQ(store.get(context, control::reply_attr("tool", 0)).value_or(""), "ok");
+  EXPECT_EQ(store.get(context, control::reply_attr("tool", 1)).value_or(""), "ok")
+      << "the request queued during the RM's own put waited for the next pump";
+  EXPECT_EQ(backend->info(app)->state, proc::ProcessState::kRunning);
 }
 
 // --- master ---
@@ -304,15 +349,9 @@ TEST(Master, CircuitBreakerHaltsAfterBudget) {
 class FileTransferTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test directories: ctest runs each TEST_F as its own process, in
-    // parallel, so a shared path would race remove_all against a sibling.
-    const std::string tag =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    submit_dir_ = ::testing::TempDir() + "/ft_submit_" + tag;
-    exec_dir_ = ::testing::TempDir() + "/ft_exec_" + tag;
-    std::filesystem::remove_all(submit_dir_);
+    submit_dir_ = testdir::fresh("ft_submit");
+    exec_dir_ = testdir::path("ft_exec");
     std::filesystem::remove_all(exec_dir_);
-    std::filesystem::create_directories(submit_dir_);
     write(submit_dir_ + "/infile", "input-bytes");
   }
 

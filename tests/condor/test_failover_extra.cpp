@@ -9,6 +9,7 @@
 #include "net/inproc.hpp"
 #include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -64,8 +65,8 @@ TEST(FailoverExtra, PosixMachineFailureRequeuesFromScratch) {
   std::map<std::string, std::shared_ptr<proc::PosixProcessBackend>> backends;
   PoolConfig config;
   config.transport = net::InProcTransport::create();
-  config.submit_dir = ::testing::TempDir();
-  config.scratch_base = ::testing::TempDir();
+  config.submit_dir = testdir::fresh("submit");
+  config.scratch_base = testdir::fresh("scratch");
   config.use_real_files = true;
   config.backend_factory = [&backends](const std::string& machine) {
     auto backend = std::make_shared<proc::PosixProcessBackend>();

@@ -11,6 +11,7 @@
 #include "net/tcp.hpp"
 #include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 #include "util/clock.hpp"
 
 namespace tdp::condor {
@@ -186,14 +187,12 @@ TEST(PoolSim, MachineReusedAfterJobCompletes) {
 class PoolPosixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/pool_submit";
-    std::filesystem::remove_all(submit_dir_);
-    std::filesystem::create_directories(submit_dir_);
+    submit_dir_ = testdir::fresh("pool_submit");
 
     PoolConfig config;
     config.transport = net::InProcTransport::create();
     config.submit_dir = submit_dir_;
-    config.scratch_base = ::testing::TempDir();
+    config.scratch_base = testdir::fresh("scratch");
     config.use_real_files = true;
     config.backend_factory = [](const std::string&) {
       return std::make_shared<proc::PosixProcessBackend>();

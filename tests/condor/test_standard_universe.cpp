@@ -8,6 +8,7 @@
 #include "condor/pool.hpp"
 #include "net/inproc.hpp"
 #include "proc/posix_backend.hpp"
+#include "support/tempdir.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -15,14 +16,12 @@ namespace {
 class StandardUniverseTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/std_universe";
-    std::filesystem::remove_all(submit_dir_);
-    std::filesystem::create_directories(submit_dir_);
+    submit_dir_ = testdir::fresh("std_universe");
 
     PoolConfig config;
     config.transport = net::InProcTransport::create();
     config.submit_dir = submit_dir_;
-    config.scratch_base = ::testing::TempDir();
+    config.scratch_base = testdir::fresh("scratch");
     config.use_real_files = true;
     config.backend_factory = [](const std::string&) {
       return std::make_shared<proc::PosixProcessBackend>();

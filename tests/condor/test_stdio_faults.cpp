@@ -10,6 +10,7 @@
 #include "net/inproc.hpp"
 #include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -17,14 +18,12 @@ namespace {
 class LiveStdioTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/live_stdio";
-    std::filesystem::remove_all(submit_dir_);
-    std::filesystem::create_directories(submit_dir_);
+    submit_dir_ = testdir::fresh("live_stdio");
 
     PoolConfig config;
     config.transport = net::InProcTransport::create();
     config.submit_dir = submit_dir_;
-    config.scratch_base = ::testing::TempDir();
+    config.scratch_base = testdir::fresh("scratch");
     config.use_real_files = true;
     config.live_stdio = true;
     config.backend_factory = [](const std::string&) {
@@ -76,7 +75,7 @@ TEST_F(LiveStdioTest, NoStreamingWhenDisabled) {
   PoolConfig config;
   config.transport = net::InProcTransport::create();
   config.submit_dir = submit_dir_;
-  config.scratch_base = ::testing::TempDir();
+  config.scratch_base = testdir::fresh("scratch");
   config.use_real_files = true;
   config.live_stdio = false;  // default
   config.backend_factory = [](const std::string&) {
@@ -102,9 +101,7 @@ TEST(ToolFaultTest, DeadToolDaemonDetectedAndPublished) {
   auto transport = net::InProcTransport::create();
   auto backend = std::make_shared<proc::PosixProcessBackend>();
 
-  std::string submit_dir = ::testing::TempDir() + "/tool_fault";
-  std::filesystem::remove_all(submit_dir);
-  std::filesystem::create_directories(submit_dir);
+  const std::string submit_dir = testdir::fresh("tool_fault");
 
   JobRecord record;
   record.id = 7;
@@ -117,7 +114,7 @@ TEST(ToolFaultTest, DeadToolDaemonDetectedAndPublished) {
 
   StarterConfig config;
   config.submit_dir = submit_dir;
-  config.scratch_base = ::testing::TempDir();
+  config.scratch_base = testdir::fresh("scratch");
   config.transport = transport;
   config.backend = backend;
   config.tool_wait_timeout_ms = 0;

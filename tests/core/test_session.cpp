@@ -1,6 +1,9 @@
 // Tests for TdpSession: the full RM/RT pairing over a live LASS, the
 // Figure 3A create sequence, the Figure 3B attach sequence, and the
-// Section 2.3 control routing.
+// Section 2.3 control routing. Every RM-side case runs twice: as
+// SessionTest.<Case> with the RM dialing its LASS, and as
+// CoLocatedSessionTest.<Case> with the RM joined over the LASS's owner
+// endpoint, as the starter is.
 #include "core/tdp.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +15,8 @@
 #include "net/inproc.hpp"
 #include "proc/sim_backend.hpp"
 
+#include "lass_path.hpp"
+
 namespace tdp {
 namespace {
 
@@ -22,6 +27,20 @@ using proc::ProcessState;
 
 class SessionTest : public ::testing::Test {
  protected:
+  explicit SessionTest(LassPath path = LassPath::kDialed) : path_(path) {}
+
+  // RM-side case bodies (TDP_RM_SESSION_TEST).
+  void RmRequiresBackend();
+  void AttributeOpsWork();
+  void Figure3ACreateSequence();
+  void Figure3BAttachSequence();
+  void ToolControlRoutesThroughRm();
+  void ControlRequestOnBadPidReportsError();
+  void ControlTimesOutWhenRmNotPumping();
+  void RmPublishesProcessStateChanges();
+  void ToolSubscribesToStateNotifications();
+  void TwoToolsTwoContextsDoNotInterfere();
+
   void SetUp() override {
     transport_ = net::InProcTransport::create();
     lass_ = std::make_unique<attr::AttrServer>("LASS", transport_);
@@ -46,7 +65,7 @@ class SessionTest : public ::testing::Test {
     options.lass_address = lass_address_;
     options.transport = transport_;
     options.backend = backend_;
-    auto session = TdpSession::init(std::move(options));
+    auto session = init_rm(path_, *lass_, std::move(options));
     EXPECT_TRUE(session.is_ok()) << session.status().to_string();
     rm_session_ = std::move(session).value();
     return rm_session_.get();
@@ -80,6 +99,7 @@ class SessionTest : public ::testing::Test {
     return options;
   }
 
+  const LassPath path_;
   std::shared_ptr<net::InProcTransport> transport_;
   std::unique_ptr<attr::AttrServer> lass_;
   std::string lass_address_;
@@ -88,6 +108,14 @@ class SessionTest : public ::testing::Test {
   std::thread rm_pump_;
   std::atomic<bool> rm_pump_stop_{false};
 };
+
+class CoLocatedSessionTest : public SessionTest {
+ protected:
+  CoLocatedSessionTest() : SessionTest(LassPath::kCoLocated) {}
+};
+
+#define RM_SESSION_TEST(Case) \
+  TDP_RM_SESSION_TEST(SessionTest, CoLocatedSessionTest, Case)
 
 TEST_F(SessionTest, InitRequiresTransportAndLass) {
   InitOptions no_transport;
@@ -101,12 +129,12 @@ TEST_F(SessionTest, InitRequiresTransportAndLass) {
             ErrorCode::kInvalidArgument);
 }
 
-TEST_F(SessionTest, RmRequiresBackend) {
+RM_SESSION_TEST(RmRequiresBackend) {
   InitOptions options;
   options.role = Role::kResourceManager;
   options.lass_address = lass_address_;
   options.transport = transport_;
-  EXPECT_EQ(TdpSession::init(std::move(options)).status().code(),
+  EXPECT_EQ(init_rm(path_, *lass_, std::move(options)).status().code(),
             ErrorCode::kInvalidArgument);
 }
 
@@ -116,7 +144,7 @@ TEST_F(SessionTest, ToolCannotCreateProcesses) {
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidState);
 }
 
-TEST_F(SessionTest, AttributeOpsWork) {
+RM_SESSION_TEST(AttributeOpsWork) {
   auto rm = make_rm();
   auto tool = make_tool();
   ASSERT_TRUE(rm->put("executable_name", "/bin/foo").is_ok());
@@ -124,7 +152,7 @@ TEST_F(SessionTest, AttributeOpsWork) {
   EXPECT_EQ(tool->try_get("nope").status().code(), ErrorCode::kNotFound);
 }
 
-TEST_F(SessionTest, Figure3ACreateSequence) {
+RM_SESSION_TEST(Figure3ACreateSequence) {
   // RM side: tdp_init, create AP paused, publish pid, create RT
   // (the RT here is this test's tool session).
   auto rm = make_rm();
@@ -150,7 +178,7 @@ TEST_F(SessionTest, Figure3ACreateSequence) {
   EXPECT_EQ(backend_->info(pid)->state, ProcessState::kRunning);
 }
 
-TEST_F(SessionTest, Figure3BAttachSequence) {
+RM_SESSION_TEST(Figure3BAttachSequence) {
   // Application is already running under the RM.
   auto rm = make_rm();
   auto app = rm->create_process(sim_app(CreateMode::kRun));
@@ -167,7 +195,7 @@ TEST_F(SessionTest, Figure3BAttachSequence) {
   EXPECT_EQ(backend_->info(pid)->state, ProcessState::kRunning);
 }
 
-TEST_F(SessionTest, ToolControlRoutesThroughRm) {
+RM_SESSION_TEST(ToolControlRoutesThroughRm) {
   auto rm = make_rm();
   auto app = rm->create_process(sim_app(CreateMode::kRun)).value();
   pump_rm(*rm);
@@ -181,7 +209,7 @@ TEST_F(SessionTest, ToolControlRoutesThroughRm) {
   EXPECT_EQ(backend_->info(app)->state, ProcessState::kSignalled);
 }
 
-TEST_F(SessionTest, ControlRequestOnBadPidReportsError) {
+RM_SESSION_TEST(ControlRequestOnBadPidReportsError) {
   auto rm = make_rm();
   pump_rm(*rm);
   auto tool = make_tool();
@@ -190,7 +218,7 @@ TEST_F(SessionTest, ControlRequestOnBadPidReportsError) {
   EXPECT_NE(status.message().find("NOT_FOUND"), std::string::npos);
 }
 
-TEST_F(SessionTest, ControlTimesOutWhenRmNotPumping) {
+RM_SESSION_TEST(ControlTimesOutWhenRmNotPumping) {
   auto rm = make_rm();  // created but its event loop never runs
   auto app = rm->create_process(sim_app(CreateMode::kRun)).value();
 
@@ -206,7 +234,7 @@ TEST_F(SessionTest, ControlTimesOutWhenRmNotPumping) {
   EXPECT_EQ(status.code(), ErrorCode::kTimeout);
 }
 
-TEST_F(SessionTest, RmPublishesProcessStateChanges) {
+RM_SESSION_TEST(RmPublishesProcessStateChanges) {
   auto rm = make_rm();
   auto app = rm->create_process(sim_app(CreateMode::kRun, 2)).value();
   pump_rm(*rm);
@@ -232,7 +260,7 @@ TEST_F(SessionTest, RmPublishesProcessStateChanges) {
   EXPECT_EQ(info->exit_code, 0);
 }
 
-TEST_F(SessionTest, ToolSubscribesToStateNotifications) {
+RM_SESSION_TEST(ToolSubscribesToStateNotifications) {
   auto rm = make_rm();
   pump_rm(*rm);
   auto tool = make_tool();
@@ -268,7 +296,7 @@ TEST_F(SessionTest, ControlAttrNamesAreWellFormed) {
   EXPECT_EQ(control::state_attr(42), "proc_state.42");
 }
 
-TEST_F(SessionTest, TwoToolsTwoContextsDoNotInterfere) {
+RM_SESSION_TEST(TwoToolsTwoContextsDoNotInterfere) {
   // An RM managing two RTs uses one context per RT (Section 3.2).
   auto backend2 = std::make_shared<proc::SimProcessBackend>();
 
@@ -278,7 +306,7 @@ TEST_F(SessionTest, TwoToolsTwoContextsDoNotInterfere) {
   rm1_options.transport = transport_;
   rm1_options.backend = backend_;
   rm1_options.context = "rt-alpha";
-  auto rm1 = TdpSession::init(std::move(rm1_options)).value();
+  auto rm1 = init_rm(path_, *lass_, std::move(rm1_options)).value();
 
   InitOptions rm2_options;
   rm2_options.role = Role::kResourceManager;
@@ -286,7 +314,7 @@ TEST_F(SessionTest, TwoToolsTwoContextsDoNotInterfere) {
   rm2_options.transport = transport_;
   rm2_options.backend = backend2;
   rm2_options.context = "rt-beta";
-  auto rm2 = TdpSession::init(std::move(rm2_options)).value();
+  auto rm2 = init_rm(path_, *lass_, std::move(rm2_options)).value();
 
   ASSERT_TRUE(rm1->put(kPid, "111").is_ok());
   ASSERT_TRUE(rm2->put(kPid, "222").is_ok());

@@ -1,6 +1,8 @@
 // Tests for TdpSession inside a real Reactor poll loop — the Section 3.3
 // daemon structure at the C++ level — plus coverage for async_put,
-// CASS operations, and the tdp_fd contract.
+// CASS operations, and the tdp_fd contract. The RM-side cases also run as
+// CoLocatedSessionEventLoopTest.<Case>, with the RM joined over the LASS's
+// owner endpoint.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -13,11 +15,19 @@
 #include "net/reactor.hpp"
 #include "proc/sim_backend.hpp"
 
+#include "lass_path.hpp"
+
 namespace tdp {
 namespace {
 
 class SessionEventLoopTest : public ::testing::Test {
  protected:
+  explicit SessionEventLoopTest(LassPath path = LassPath::kDialed) : path_(path) {}
+
+  // RM-side case bodies (TDP_RM_SESSION_TEST).
+  void ReactorDrivenDaemonLoop();
+  void SubscriptionSurvivesManyEvents();
+
   void SetUp() override {
     transport_ = net::InProcTransport::create();
     lass_ = std::make_unique<attr::AttrServer>("LASS", transport_);
@@ -33,16 +43,26 @@ class SessionEventLoopTest : public ::testing::Test {
     options.transport = transport_;
     if (role == Role::kResourceManager) {
       options.backend = std::make_shared<proc::SimProcessBackend>();
+      return init_rm(path_, *lass_, std::move(options)).value();
     }
     return TdpSession::init(std::move(options)).value();
   }
 
+  const LassPath path_;
   std::shared_ptr<net::InProcTransport> transport_;
   std::unique_ptr<attr::AttrServer> lass_;
   std::string lass_address_;
 };
 
-TEST_F(SessionEventLoopTest, ReactorDrivenDaemonLoop) {
+class CoLocatedSessionEventLoopTest : public SessionEventLoopTest {
+ protected:
+  CoLocatedSessionEventLoopTest() : SessionEventLoopTest(LassPath::kCoLocated) {}
+};
+
+#define RM_SESSION_TEST(Case) \
+  TDP_RM_SESSION_TEST(SessionEventLoopTest, CoLocatedSessionEventLoopTest, Case)
+
+RM_SESSION_TEST(ReactorDrivenDaemonLoop) {
   // The canonical daemon structure: the session's event fd registered in
   // a Reactor; the handler calls service_events. Exactly the paper's
   // "asynchronous events simply cause activity on a descriptor".
@@ -115,7 +135,7 @@ TEST_F(SessionEventLoopTest, EventFdIsPollable) {
   EXPECT_EQ(::poll(&pfd, 1, 0), 0);  // quiescent session: nothing pending
 }
 
-TEST_F(SessionEventLoopTest, SubscriptionSurvivesManyEvents) {
+RM_SESSION_TEST(SubscriptionSurvivesManyEvents) {
   auto rm = make_session(Role::kResourceManager);
   auto tool = make_session(Role::kTool);
   int notifications = 0;

@@ -133,6 +133,34 @@ TEST_F(ParadorTest, VanillaCreateModeEndToEnd) {
   ASSERT_EQ(frontend_->finished_pids().size(), 1u);
 }
 
+TEST_F(ParadorTest, StarterLassAcceptsOnlyTheToolDaemonsConnection) {
+  // The starter starts each job's LASS and joins it over the owner
+  // endpoint, so the one transport connection that LASS accepts is
+  // paradynd's.
+  JobId id = pool_->submit(monitored_job());
+  ASSERT_EQ(pool_->negotiate(), 1);
+  condor::Starter* starter = nullptr;
+  for (int i = 0; i < 3 && starter == nullptr; ++i) {
+    starter = pool_->startd("node" + std::to_string(i))->starter();
+  }
+  ASSERT_NE(starter, nullptr);
+  auto backend = backends_[starter->job().matched_machine];
+  const proc::Pid app = starter->app_pid();
+
+  // Until paradynd has attached and continued the application.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (backend->info(app)->state == proc::ProcessState::kPausedAtExec &&
+         std::chrono::steady_clock::now() < deadline) {
+    starter->pump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(backend->info(app)->state, proc::ProcessState::kPausedAtExec);
+  EXPECT_EQ(starter->lass().connections_served(), 1u);
+
+  auto record = drive(id);
+  EXPECT_EQ(record.status, JobStatus::kCompleted) << record.failure_reason;
+}
+
 TEST_F(ParadorTest, ConsultantFindsTheHotSpot) {
   JobId id = pool_->submit(monitored_job(600));
   auto record = drive(id);
@@ -298,6 +326,9 @@ TEST_F(ParadorTest, FirewalledDaemonReachesFrontendViaProxy) {
   EXPECT_TRUE(walled_launcher.last_daemon_status().is_ok())
       << walled_launcher.last_daemon_status().to_string();
   EXPECT_EQ(proxy.tunnels_opened(), 1u);  // the daemon went through the wall
+  // Reports cross the tunnel's relay threads and are folded in by a
+  // front-end thread, so the daemon's exit does not mean they have landed.
+  EXPECT_TRUE(wait_for_finished(1));
   EXPECT_GT(frontend_->reports_received(), 0u);
   proxy.stop();
 }

@@ -11,6 +11,7 @@
 #include "net/tcp.hpp"
 #include "paradyn/frontend.hpp"
 #include "proc/posix_backend.hpp"
+#include "support/tempdir.hpp"
 
 // Set by CMake to the built paradynd binary.
 #ifndef TDP_PARADYND_PATH
@@ -28,9 +29,7 @@ using condor::SubmitFile;
 class ParadorRealTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/parador_real";
-    std::filesystem::remove_all(submit_dir_);
-    std::filesystem::create_directories(submit_dir_);
+    submit_dir_ = testdir::fresh("parador_real");
 
     transport_ = std::make_shared<net::TcpTransport>();
     frontend_ = std::make_unique<paradyn::Frontend>(transport_);
@@ -40,7 +39,7 @@ class ParadorRealTest : public ::testing::Test {
     PoolConfig config;
     config.transport = transport_;
     config.submit_dir = submit_dir_;
-    config.scratch_base = ::testing::TempDir();
+    config.scratch_base = testdir::fresh("scratch");
     config.use_real_files = true;
     config.frontend_host = frontend_->host();
     config.frontend_port = frontend_->port();

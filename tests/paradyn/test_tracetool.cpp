@@ -13,6 +13,7 @@
 #include "condor/pool.hpp"
 #include "net/inproc.hpp"
 #include "proc/sim_backend.hpp"
+#include "support/tempdir.hpp"
 
 namespace tdp::paradyn {
 namespace {
@@ -114,8 +115,7 @@ TEST_F(TraceToolTest, RefusesAlreadyRunningApplication) {
 }
 
 TEST_F(TraceToolTest, WritesTraceFileAtExit) {
-  const std::string trace_path = ::testing::TempDir() + "/tdp_trace.out";
-  std::filesystem::remove(trace_path);
+  const std::string trace_path = testdir::path("tdp_trace.out");
   create_app(proc::CreateMode::kPaused, 100);
 
   TraceToolConfig config = tracer_config();
@@ -156,9 +156,7 @@ TEST(TraceToolPool, SecondToolRunsUnderUnchangedMiniCondor) {
   // The m-tools payoff: the SAME pool code that ran paradynd runs the
   // tracer — only the launcher (the tool side) differs.
   auto transport = net::InProcTransport::create();
-  const std::string trace_dir = ::testing::TempDir() + "/pool_traces";
-  std::filesystem::remove_all(trace_dir);
-  std::filesystem::create_directories(trace_dir);
+  const std::string trace_dir = testdir::fresh("pool_traces");
 
   paradyn::InProcTraceLauncher::Options launcher_options;
   launcher_options.transport = transport;

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <thread>
 
+#include "support/tempdir.hpp"
+
 namespace tdp::proc {
 namespace {
 
@@ -225,7 +227,7 @@ TEST(PosixBackend, PollEventsReportsLifecycle) {
 
 TEST(PosixBackend, StdioRedirection) {
   PosixProcessBackend backend;
-  std::string out_path = ::testing::TempDir() + "/tdp_stdio_test.out";
+  std::string out_path = testdir::path("stdio.out");
   CreateOptions options;
   options.argv = {"/bin/sh", "-c", "echo hello-from-job"};
   options.stdout_path = out_path;
@@ -240,7 +242,7 @@ TEST(PosixBackend, StdioRedirection) {
 
 TEST(PosixBackend, WorkingDirectoryHonored) {
   PosixProcessBackend backend;
-  std::string out_path = ::testing::TempDir() + "/tdp_cwd_test.out";
+  std::string out_path = testdir::path("cwd.out");
   CreateOptions options;
   options.argv = {"/bin/sh", "-c", "pwd"};
   options.working_dir = "/tmp";
@@ -256,7 +258,7 @@ TEST(PosixBackend, WorkingDirectoryHonored) {
 
 TEST(PosixBackend, EnvironmentPassed) {
   PosixProcessBackend backend;
-  std::string out_path = ::testing::TempDir() + "/tdp_env_test.out";
+  std::string out_path = testdir::path("env.out");
   CreateOptions options;
   options.argv = {"/bin/sh", "-c", "echo $TDP_TEST_VAR"};
   options.env = {"TDP_TEST_VAR=present"};

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/tempdir.hpp"
 #include "util/journal.hpp"
 
 namespace tdp::journal {
@@ -52,12 +53,7 @@ TEST(Journal, SnapshotCompactsTail) {
 class FileJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test directory: parallel ctest runs sibling tests concurrently,
-    // and a shared path races remove_all against them.
-    dir_ = ::testing::TempDir() + "/journal_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = testdir::fresh("journal");
     path_ = dir_ + "/schedd";
   }
   std::string dir_, path_;

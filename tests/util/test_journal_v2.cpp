@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string>
 
+#include "support/tempdir.hpp"
 #include "util/blockio.hpp"
 #include "util/journal.hpp"
 
@@ -16,12 +17,7 @@ namespace {
 class BlockJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test directory: parallel ctest runs sibling BlockJournal tests
-    // concurrently, and a shared path races remove_all against them.
-    dir_ = ::testing::TempDir() + "/journal_v2_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = testdir::fresh("journal_v2");
     path_ = dir_ + "/daemon";
   }
 
