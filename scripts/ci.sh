@@ -63,7 +63,8 @@ run_tsan() {
   cmake --build build-tsan -j"$(nproc)" \
     --target tdp_attr_tests tdp_chaos_tests tdp_util_tests tdp_scale_tests \
              tdp_chaos_scale_tests tdp_condor_tests \
-             tdp_chaos_integration_tests tdp_core_tests tdp_integration_tests
+             tdp_chaos_integration_tests tdp_core_tests tdp_integration_tests \
+             tdp_paradyn_tests tdp_net_tests
   # The stress tests exercise the sharded store (concurrent writers,
   # readers, racing waiters) and the reactor-driven server under client
   # churn - exactly the paths a data race would hide in.
@@ -119,6 +120,14 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_chaos_integration_tests \
     --gtest_filter='*ChaosParador*'
+  # The Paradyn thread model: the front-end's one I/O thread serving every
+  # daemon while commands go out from the caller's thread, the launchers
+  # joining returned daemons while launching new ones, and the in-process
+  # queues' level descriptor under concurrent push, pop and close.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_paradyn_tests
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_net_tests --gtest_filter='InProc*'
 }
 
 run_asan() {

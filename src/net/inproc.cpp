@@ -1,10 +1,12 @@
 #include "net/inproc.hpp"
 
-#include <fcntl.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
 
 #include "util/string_util.hpp"
 
@@ -12,74 +14,69 @@ namespace tdp::net {
 
 namespace detail {
 
-/// A bounded-unbounded MPSC message queue with a self-pipe mirroring its
-/// fill level, so poll() on the read end is level-triggered w.r.t. queue
-/// non-emptiness.
+/// What InProcQueue::pop found.
+enum class Popped { kItem, kEmpty, kClosed };
+
+/// An unbounded MPSC queue whose fill level an eventfd mirrors, so poll()
+/// on the descriptor is level-triggered on "an item or the close marker is
+/// queued". The first read_fd() makes the descriptor, holding the level of
+/// that moment: a queue nobody polls (a blocking client's reply queue)
+/// owns none and pays no syscall per item. From then on, in semaphore
+/// mode, each push adds 1, each pop takes 1 and close adds 1 that nothing
+/// takes. A counter has no pipe's 64-KiB ceiling, so the level holds at
+/// any depth.
+template <typename T>
 class InProcQueue {
  public:
-  InProcQueue() {
-    int fds[2] = {-1, -1};
-    if (::pipe(fds) == 0) {
-      pipe_r_ = fds[0];
-      pipe_w_ = fds[1];
-      ::fcntl(pipe_r_, F_SETFL, O_NONBLOCK);
-      ::fcntl(pipe_w_, F_SETFL, O_NONBLOCK);
-      ::fcntl(pipe_r_, F_SETFD, FD_CLOEXEC);
-      ::fcntl(pipe_w_, F_SETFD, FD_CLOEXEC);
-    }
-  }
+  InProcQueue() = default;
 
   ~InProcQueue() {
-    if (pipe_r_ >= 0) ::close(pipe_r_);
-    if (pipe_w_ >= 0) ::close(pipe_w_);
+    if (level_fd_ >= 0) ::close(level_fd_);
   }
 
   InProcQueue(const InProcQueue&) = delete;
   InProcQueue& operator=(const InProcQueue&) = delete;
 
-  void push(Message msg) {
-    bool signal;
+  void push(T item) {
+    int fd;
     {
       LockGuard lock(mutex_);
-      queue_.push_back(std::move(msg));
-      signal = fd_exported_;
+      items_.push_back(std::move(item));
+      fd = level_fd_;
     }
-    if (signal) signal_pipe();
+    add_one(fd);
     cv_.notify_one();
   }
 
-  /// Pops the next message. timeout_ms: <0 block, 0 poll, >0 bounded.
-  Result<Message> pop(int timeout_ms) {
+  /// Moves the next item into *out. timeout_ms: <0 block, 0 poll, >0
+  /// bounded. kEmpty when the wait ends with nothing queued.
+  Popped pop(int timeout_ms, T* out) {
     LockGuard lock(mutex_);
-    auto ready = [this]() TDP_REQUIRES(mutex_) { return !queue_.empty() || closed_; };
+    auto ready = [this]() TDP_REQUIRES(mutex_) { return !items_.empty() || closed_; };
     if (timeout_ms < 0) {
       cv_.wait(lock, ready);
     } else if (timeout_ms > 0) {
-      if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready)) {
-        return make_error(ErrorCode::kTimeout, "inproc receive timed out");
-      }
+      cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready);
     }
-    if (!queue_.empty()) {
-      Message msg = std::move(queue_.front());
-      queue_.pop_front();
-      if (fd_exported_) drain_pipe_one();
-      return msg;
+    const bool popped = !items_.empty();
+    if (popped) {
+      *out = std::move(items_.front());
+      items_.pop_front();
     }
-    if (closed_) {
-      return make_error(ErrorCode::kConnectionError, "inproc peer closed");
-    }
-    return make_error(ErrorCode::kTimeout, "inproc queue empty");
+    if (level_fd_ >= 0) take_level(popped);
+    if (popped) return Popped::kItem;
+    return closed_ ? Popped::kClosed : Popped::kEmpty;
   }
 
   void close() {
-    bool signal;
+    int fd;
     {
       LockGuard lock(mutex_);
       if (closed_) return;
       closed_ = true;
-      signal = fd_exported_;
+      fd = level_fd_;
     }
-    if (signal) signal_pipe();  // wake fd-based pollers; not drained
+    add_one(fd);  // the close marker: never taken, so pollers see the end
     cv_.notify_all();
   }
 
@@ -88,52 +85,47 @@ class InProcQueue {
     return closed_;
   }
 
-  /// Exporting the descriptor switches the queue into fd-mirrored mode:
-  /// from then on every push/close writes a pipe byte. Queues nobody polls
-  /// (a blocking client's reply queue) never pay the two syscalls per
-  /// message that keep the mirror level-triggered.
+  /// The level descriptor, made on first use; -1 if it cannot be made.
   [[nodiscard]] int read_fd() const {
     LockGuard lock(mutex_);
-    if (!fd_exported_) {
-      fd_exported_ = true;
-      // Mirror the current fill level (plus the close marker) so the fd is
-      // immediately level-consistent with the queue.
-      std::size_t level = queue_.size() + (closed_ ? 1 : 0);
-      for (std::size_t i = 0; i < level; ++i) signal_pipe();
+    if (level_fd_ < 0) {
+      const auto level = static_cast<unsigned>(items_.size() + (closed_ ? 1 : 0));
+      level_fd_ = ::eventfd(level, EFD_SEMAPHORE | EFD_NONBLOCK | EFD_CLOEXEC);
     }
-    return pipe_r_;
+    return level_fd_;
   }
 
  private:
-  void signal_pipe() const {
-    if (pipe_w_ >= 0) {
-      const char byte = 'x';
-      [[maybe_unused]] ssize_t n = ::write(pipe_w_, &byte, 1);
-      // A full pipe is fine: poll already reports readable.
-    }
+  static void add_one(int fd) {
+    if (fd < 0) return;
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof(one));
   }
 
-  void drain_pipe_one() const {
-    if (pipe_r_ >= 0) {
-      char byte;
-      [[maybe_unused]] ssize_t n = ::read(pipe_r_, &byte, 1);
-    }
+  /// Takes the popped item's unit off the level. A push adds its unit
+  /// after it has queued the item and let go of the lock, so a pop can get
+  /// there first. The unit it could not take is owed, and a later pop
+  /// takes it once the add has landed, if need be one that finds the
+  /// queue empty.
+  void take_level(bool popped) TDP_REQUIRES(mutex_) {
+    if (popped) ++owed_;
+    std::uint64_t unit = 0;
+    while (owed_ > 0 && ::read(level_fd_, &unit, sizeof(unit)) == sizeof(unit)) --owed_;
   }
 
   CondVar cv_;
   mutable Mutex mutex_{"InProcQueue::mutex_"};
-  std::deque<Message> queue_ TDP_GUARDED_BY(mutex_);
+  std::deque<T> items_ TDP_GUARDED_BY(mutex_);
   bool closed_ TDP_GUARDED_BY(mutex_) = false;
-  mutable bool fd_exported_ TDP_GUARDED_BY(mutex_) = false;
-
-  int pipe_r_ = -1;  ///< immutable after the ctor
-  int pipe_w_ = -1;  ///< immutable after the ctor
+  mutable int level_fd_ TDP_GUARDED_BY(mutex_) = -1;
+  /// Units popped before their push added them (see take_level).
+  std::uint64_t owed_ TDP_GUARDED_BY(mutex_) = 0;
 };
 
 /// Shared state of one connection: two directed queues.
 struct InProcChannel {
-  InProcQueue client_to_server;
-  InProcQueue server_to_client;
+  InProcQueue<Message> client_to_server;
+  InProcQueue<Message> server_to_client;
 };
 
 /// One endpoint view over a channel: sends into one queue, receives from
@@ -167,7 +159,16 @@ class InProcEndpoint final : public Endpoint {
     if (closed_.load(std::memory_order_acquire)) {
       return make_error(ErrorCode::kConnectionError, "endpoint closed");
     }
-    return recv_queue().pop(timeout_ms);
+    Message msg;
+    switch (recv_queue().pop(timeout_ms, &msg)) {
+      case Popped::kItem:
+        return msg;
+      case Popped::kClosed:
+        return make_error(ErrorCode::kConnectionError, "inproc peer closed");
+      case Popped::kEmpty:
+        break;
+    }
+    return make_error(ErrorCode::kTimeout, "inproc receive timed out");
   }
 
   [[nodiscard]] int readable_fd() const override { return recv_queue().read_fd(); }
@@ -188,10 +189,10 @@ class InProcEndpoint final : public Endpoint {
   [[nodiscard]] std::string peer_address() const override { return peer_; }
 
  private:
-  InProcQueue& send_queue() const {
+  InProcQueue<Message>& send_queue() const {
     return is_server_ ? channel_->server_to_client : channel_->client_to_server;
   }
-  InProcQueue& recv_queue() const {
+  InProcQueue<Message>& recv_queue() const {
     return is_server_ ? channel_->client_to_server : channel_->server_to_client;
   }
 
@@ -201,92 +202,6 @@ class InProcEndpoint final : public Endpoint {
   std::atomic<bool> closed_{false};
 };
 
-/// Accept queue shared between the registry and the listener object.
-class InProcListenerState {
- public:
-  void enqueue(std::unique_ptr<Endpoint> endpoint) {
-    {
-      LockGuard lock(mutex_);
-      pending_.push_back(std::move(endpoint));
-    }
-    signal_pipe();
-    cv_.notify_one();
-  }
-
-  Result<std::unique_ptr<Endpoint>> dequeue(int timeout_ms) {
-    LockGuard lock(mutex_);
-    auto ready = [this]() TDP_REQUIRES(mutex_) { return !pending_.empty() || closed_; };
-    if (timeout_ms < 0) {
-      cv_.wait(lock, ready);
-    } else if (timeout_ms > 0) {
-      if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready)) {
-        return make_error(ErrorCode::kTimeout, "accept timed out");
-      }
-    }
-    if (!pending_.empty()) {
-      auto endpoint = std::move(pending_.front());
-      pending_.pop_front();
-      drain_pipe_one();
-      return endpoint;
-    }
-    if (closed_) return make_error(ErrorCode::kCancelled, "listener closed");
-    return make_error(ErrorCode::kTimeout, "no pending connection");
-  }
-
-  void close() {
-    {
-      LockGuard lock(mutex_);
-      closed_ = true;
-    }
-    signal_pipe();
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    LockGuard lock(mutex_);
-    return closed_;
-  }
-
-  InProcListenerState() {
-    int fds[2] = {-1, -1};
-    if (::pipe(fds) == 0) {
-      pipe_r_ = fds[0];
-      pipe_w_ = fds[1];
-      ::fcntl(pipe_r_, F_SETFL, O_NONBLOCK);
-      ::fcntl(pipe_w_, F_SETFL, O_NONBLOCK);
-    }
-  }
-
-  ~InProcListenerState() {
-    if (pipe_r_ >= 0) ::close(pipe_r_);
-    if (pipe_w_ >= 0) ::close(pipe_w_);
-  }
-
-  [[nodiscard]] int read_fd() const noexcept { return pipe_r_; }
-
- private:
-  void signal_pipe() {
-    if (pipe_w_ >= 0) {
-      const char byte = 'x';
-      [[maybe_unused]] ssize_t n = ::write(pipe_w_, &byte, 1);
-    }
-  }
-  void drain_pipe_one() {
-    if (pipe_r_ >= 0) {
-      char byte;
-      [[maybe_unused]] ssize_t n = ::read(pipe_r_, &byte, 1);
-    }
-  }
-
-  CondVar cv_;
-  mutable Mutex mutex_{"InProcListenerState::mutex_"};
-  std::deque<std::unique_ptr<Endpoint>> pending_ TDP_GUARDED_BY(mutex_);
-  bool closed_ TDP_GUARDED_BY(mutex_) = false;
-
-  int pipe_r_ = -1;  ///< immutable after the ctor
-  int pipe_w_ = -1;  ///< immutable after the ctor
-};
-
 }  // namespace detail
 
 namespace {
@@ -294,14 +209,24 @@ namespace {
 class InProcListener final : public Listener {
  public:
   InProcListener(std::shared_ptr<InProcTransport> transport,
-                 std::shared_ptr<detail::InProcListenerState> state, std::string name)
+                 std::shared_ptr<detail::InProcQueue<std::unique_ptr<Endpoint>>> state,
+                 std::string name)
       : transport_(std::move(transport)), state_(std::move(state)),
         name_(std::move(name)) {}
 
   ~InProcListener() override { InProcListener::close(); }
 
   Result<std::unique_ptr<Endpoint>> accept(int timeout_ms) override {
-    return state_->dequeue(timeout_ms);
+    std::unique_ptr<Endpoint> endpoint;
+    switch (state_->pop(timeout_ms, &endpoint)) {
+      case detail::Popped::kItem:
+        return endpoint;
+      case detail::Popped::kClosed:
+        return make_error(ErrorCode::kCancelled, "listener closed");
+      case detail::Popped::kEmpty:
+        break;
+    }
+    return make_error(ErrorCode::kTimeout, "accept timed out");
   }
 
   [[nodiscard]] std::string address() const override { return "inproc://" + name_; }
@@ -317,7 +242,7 @@ class InProcListener final : public Listener {
 
  private:
   std::weak_ptr<InProcTransport> transport_;
-  std::shared_ptr<detail::InProcListenerState> state_;
+  std::shared_ptr<detail::InProcQueue<std::unique_ptr<Endpoint>>> state_;
   std::string name_;
   bool closed_ = false;
 };
@@ -356,7 +281,7 @@ Result<std::unique_ptr<Listener>> InProcTransport::listen(const std::string& add
   if (listeners_.count(name) != 0) {
     return make_error(ErrorCode::kAlreadyExists, "inproc name already bound: " + name);
   }
-  auto state = std::make_shared<detail::InProcListenerState>();
+  auto state = std::make_shared<detail::InProcQueue<std::unique_ptr<Endpoint>>>();
   listeners_[name] = state;
   return std::unique_ptr<Listener>(
       new InProcListener(shared_from_this(), std::move(state), std::move(name)));
@@ -368,7 +293,7 @@ Result<std::unique_ptr<Endpoint>> InProcTransport::connect(const std::string& ad
                       "inproc connect address must start with inproc://: " + address);
   }
   const std::string name = address.substr(9);
-  std::shared_ptr<detail::InProcListenerState> state;
+  std::shared_ptr<detail::InProcQueue<std::unique_ptr<Endpoint>>> state;
   {
     LockGuard lock(mutex_);
     auto it = listeners_.find(name);
@@ -381,7 +306,7 @@ Result<std::unique_ptr<Endpoint>> InProcTransport::connect(const std::string& ad
     return make_error(ErrorCode::kConnectionError, "inproc listener closed: " + name);
   }
   InProcPair pair = make_inproc_pair(address, "inproc://client");
-  state->enqueue(std::move(pair.server));
+  state->push(std::move(pair.server));
   return std::move(pair.client);
 }
 

@@ -3,12 +3,11 @@
 // a whole Condor pool plus Paradyn front-end and daemons run inside one
 // test binary. Addresses use the scheme "inproc://<name>".
 //
-// Endpoints still expose a real pipe descriptor via readable_fd() so the
-// paper's poll-loop event model (Section 3.3) works identically over both
-// transports.
+// Endpoints still expose a real descriptor (an eventfd, made on the first
+// readable_fd() call) so the paper's poll-loop event model (Section 3.3)
+// works identically over both transports.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,9 +18,8 @@
 namespace tdp::net {
 
 namespace detail {
+template <typename T>
 class InProcQueue;
-struct InProcChannel;
-class InProcListenerState;
 }  // namespace detail
 
 /// Transport whose listeners live in an instance-scoped registry; creating
@@ -46,7 +44,9 @@ class InProcTransport final : public Transport,
   InProcTransport() = default;
 
   mutable Mutex mutex_{"InProcTransport::mutex_"};
-  std::map<std::string, std::shared_ptr<detail::InProcListenerState>> listeners_
+  /// Each listener's accept queue, shared with the listener object.
+  std::map<std::string, std::shared_ptr<detail::InProcQueue<std::unique_ptr<Endpoint>>>>
+      listeners_
       TDP_GUARDED_BY(mutex_);
 };
 

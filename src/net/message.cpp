@@ -508,9 +508,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kAttrInit: return "AttrInit";
     case MsgType::kAttrInitReply: return "AttrInitReply";
     case MsgType::kAttrPutBatch: return "AttrPutBatch";
-    case MsgType::kProcRequest: return "ProcRequest";
-    case MsgType::kProcReply: return "ProcReply";
-    case MsgType::kProcStatusEvent: return "ProcStatusEvent";
     case MsgType::kProxyConnect: return "ProxyConnect";
     case MsgType::kProxyConnectReply: return "ProxyConnectReply";
     case MsgType::kProxyData: return "ProxyData";

@@ -63,11 +63,6 @@ enum class MsgType : std::uint16_t {
   kAttrInitReply = 112,
   kAttrPutBatch = 113,   ///< N coalesced puts, one round trip, one ack
 
-  // --- process management relay (Section 2.3: RT asks RM to act) ---
-  kProcRequest = 200,    ///< pause/continue/kill request routed to the RM
-  kProcReply = 201,
-  kProcStatusEvent = 202,///< RM -> RT process state change notification
-
   // --- proxy / tunnel (Section 2.4) ---
   kProxyConnect = 300,   ///< open a relay to a registered logical service
   kProxyConnectReply = 301,

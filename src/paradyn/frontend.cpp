@@ -21,34 +21,36 @@ Result<std::string> Frontend::start(const std::string& listen_address) {
   listener_ = std::move(listener).value();
   address_ = listener_->address();
   running_.store(true, std::memory_order_release);
-  {
-    LockGuard lock(mutex_);
-    threads_.emplace_back([this] { accept_loop(); });
-  }
+  reactor_.add_readable(listener_->readable_fd(), [this] { on_acceptable(); });
+  io_thread_ = std::thread([this] {
+    while (running_.load(std::memory_order_acquire)) {
+      reactor_.run_once(-1);
+    }
+  });
   kLog.info("front-end listening on ", address_);
   return address_;
 }
 
 void Frontend::stop() {
   running_.store(false, std::memory_order_release);
+  reactor_.stop();  // wakes the blocked poll so the I/O thread observes running_
+  if (io_thread_.joinable()) io_thread_.join();
   if (cass_) {
     cass_->exit();
     cass_.reset();
   }
-  if (listener_) listener_->close();
-  while (true) {
-    std::vector<std::thread> to_join;
-    std::map<proc::Pid, std::shared_ptr<net::Endpoint>> to_close;
-    {
-      LockGuard lock(mutex_);
-      to_join.swap(threads_);
-      to_close.swap(daemons_);
-    }
-    if (to_join.empty() && to_close.empty()) break;
-    for (auto& [pid, endpoint] : to_close) endpoint->close();
-    for (auto& thread : to_join) {
-      if (thread.joinable()) thread.join();
-    }
+  for (auto& [fd, conn] : conns_) {
+    reactor_.remove(fd);
+    conn.endpoint->close();
+  }
+  conns_.clear();
+  {
+    LockGuard lock(mutex_);
+    daemons_.clear();
+  }
+  if (listener_) {
+    reactor_.remove(listener_->readable_fd());
+    listener_->close();
   }
 }
 
@@ -76,87 +78,87 @@ std::vector<proc::Pid> Frontend::finished_pids() const {
   return finished_;
 }
 
-void Frontend::accept_loop() {
+void Frontend::on_acceptable() {
   while (running_.load(std::memory_order_acquire)) {
-    auto accepted = listener_->accept(200);
-    if (!accepted.is_ok()) {
-      if (accepted.status().code() == ErrorCode::kTimeout) continue;
-      break;
-    }
-    std::shared_ptr<net::Endpoint> endpoint(std::move(accepted).value().release());
-    bool rejected = false;
-    {
-      LockGuard lock(mutex_);
-      if (!running_.load(std::memory_order_acquire)) {
-        rejected = true;  // closed below, outside the registry lock
-      } else {
-        threads_.emplace_back([this, endpoint] { serve_daemon(endpoint); });
-      }
-    }
-    if (rejected) {
+    auto accepted = listener_->accept(0);
+    if (!accepted.is_ok()) break;  // kTimeout: queue drained
+    std::shared_ptr<net::Endpoint> endpoint(std::move(accepted).value());
+    const int fd = endpoint->readable_fd();
+    if (fd < 0) {
       endpoint->close();
-      break;
+      continue;
     }
+    conns_[fd] = Connection{std::move(endpoint), 0};
+    reactor_.add_readable(fd, [this, fd] { on_readable(fd); });
   }
 }
 
-void Frontend::serve_daemon(std::shared_ptr<net::Endpoint> endpoint) {
-  proc::Pid pid = 0;
+void Frontend::on_readable(int fd) {
+  auto it = conns_.find(fd);
+  if (it == conns_.end()) return;
+  Connection& conn = it->second;
   while (running_.load(std::memory_order_acquire)) {
-    auto received = endpoint->receive(200);
-    if (!received.is_ok()) {
-      if (received.status().code() == ErrorCode::kTimeout) continue;
+    auto received = conn.endpoint->receive(0);
+    if (received.is_ok()) {
+      handle_message(received.value(), conn);
+      continue;
+    }
+    if (received.status().code() == ErrorCode::kTimeout) return;  // drained
+    // The daemon is gone: forget it and close our end.
+    reactor_.remove(fd);
+    if (conn.pid != 0) {
+      LockGuard lock(mutex_);
+      daemons_.erase(conn.pid);
+    }
+    conn.endpoint->close();
+    conns_.erase(it);
+    return;
+  }
+}
+
+void Frontend::handle_message(const net::Message& msg, Connection& conn) {
+  switch (msg.type()) {
+    case net::MsgType::kParadynHello: {
+      conn.pid = msg.get_int("pid");
+      LockGuard lock(mutex_);
+      daemons_[conn.pid] = conn.endpoint;
+      kLog.info("daemon '", msg.get("daemon"), "' attached to pid ", conn.pid,
+                " (", msg.get("executable"), ")");
       break;
     }
-    const net::Message& msg = received.value();
-    switch (msg.type()) {
-      case net::MsgType::kParadynHello: {
-        pid = msg.get_int("pid");
+    case net::MsgType::kParadynReport: {
+      reports_.fetch_add(1, std::memory_order_relaxed);
+      const std::int64_t count = msg.get_int("count");
+      const proc::Pid report_pid = msg.get_int("pid");
+      for (std::int64_t i = 0; i < count; ++i) {
+        const std::string n = std::to_string(i);
+        Sample sample;
+        const std::string metric = msg.get("m" + n);
+        if (metric == "cpu_time") sample.metric = Metric::kCpuTime;
+        else if (metric == "call_count") sample.metric = Metric::kCallCount;
+        else if (metric == "sync_wait") sample.metric = Metric::kSyncWait;
+        else if (metric == "io_wait") sample.metric = Metric::kIoWait;
+        sample.module = msg.get("mod" + n);
+        sample.function = msg.get("fn" + n);
+        sample.value = std::stod(msg.get("v" + n, "0"));
+        metrics_.record(sample, report_pid);
+      }
+      if (msg.get("final") == "1") {
         LockGuard lock(mutex_);
-        daemons_[pid] = endpoint;
-        kLog.info("daemon '", msg.get("daemon"), "' attached to pid ", pid,
-                  " (", msg.get("executable"), ")");
-        break;
+        finished_.push_back(report_pid);
       }
-      case net::MsgType::kParadynReport: {
-        reports_.fetch_add(1, std::memory_order_relaxed);
-        const std::int64_t count = msg.get_int("count");
-        const proc::Pid report_pid = msg.get_int("pid");
-        for (std::int64_t i = 0; i < count; ++i) {
-          const std::string n = std::to_string(i);
-          Sample sample;
-          const std::string metric = msg.get("m" + n);
-          if (metric == "cpu_time") sample.metric = Metric::kCpuTime;
-          else if (metric == "call_count") sample.metric = Metric::kCallCount;
-          else if (metric == "sync_wait") sample.metric = Metric::kSyncWait;
-          else if (metric == "io_wait") sample.metric = Metric::kIoWait;
-          sample.module = msg.get("mod" + n);
-          sample.function = msg.get("fn" + n);
-          sample.value = std::stod(msg.get("v" + n, "0"));
-          metrics_.record(sample, report_pid);
-        }
-        if (msg.get("final") == "1") {
-          LockGuard lock(mutex_);
-          finished_.push_back(report_pid);
-        }
-        break;
-      }
-      case net::MsgType::kParadynCommandReply:
-        // Acknowledgements are informational; errors are logged.
-        if (msg.get("status") != "ok") {
-          kLog.warn("daemon command failed: ", msg.get("status"));
-        }
-        break;
-      default:
-        kLog.warn("unexpected daemon message: ", msg.to_string());
-        break;
+      break;
     }
+    case net::MsgType::kParadynCommandReply:
+      // Acknowledgements are informational; errors are logged.
+      if (msg.get("status") != "ok") {
+        kLog.warn("daemon command failed: ", msg.get("status"));
+      }
+      break;
+    default:
+      kLog.warn("unexpected daemon message: ", msg.to_string());
+      break;
   }
-  if (pid != 0) {
-    LockGuard lock(mutex_);
-    daemons_.erase(pid);
-  }
-  endpoint->close();
 }
 
 Status Frontend::command(proc::Pid pid, const std::string& cmd,

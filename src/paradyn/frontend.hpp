@@ -9,7 +9,8 @@
 // be published by the Paradyn front-end and disseminated to remote sites
 // as attribute values"). We accept daemon connections on one data/control
 // listener and expose both port numbers for fidelity with the submit-file
-// interface.
+// interface. One I/O thread serves the listener and every daemon from a
+// net::Reactor poll loop (Section 3.3), so no daemon costs a thread.
 #pragma once
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "attrspace/attr_client.hpp"
+#include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "paradyn/consultant.hpp"
 #include "paradyn/metrics.hpp"
@@ -65,7 +67,7 @@ class Frontend {
 
   /// Sends a command to the daemon monitoring `pid` ("pause", "continue",
   /// "kill", "instrument", "uninstrument"). Fire-and-forget; the reply is
-  /// consumed by the receive loop.
+  /// consumed by the I/O thread.
   Status command(proc::Pid pid, const std::string& cmd,
                  const std::map<std::string, std::string>& fields = {});
 
@@ -88,18 +90,29 @@ class Frontend {
                          const std::string& context = "tdp");
 
  private:
-  void accept_loop();
-  void serve_daemon(std::shared_ptr<net::Endpoint> endpoint);
+  /// One daemon connection; `pid` is set by its hello.
+  struct Connection {
+    std::shared_ptr<net::Endpoint> endpoint;
+    proc::Pid pid = 0;
+  };
+
+  void on_acceptable();
+  void on_readable(int fd);
+  void handle_message(const net::Message& msg, Connection& conn);
 
   std::shared_ptr<net::Transport> transport_;
   std::unique_ptr<net::Listener> listener_;
   std::string address_;
   MetricStore metrics_;
+  net::Reactor reactor_;
+  std::thread io_thread_;
+  /// Keyed by readable_fd. Touched only by the I/O thread, and by stop()
+  /// once that thread has been joined.
+  std::map<int, Connection> conns_;
 
   mutable Mutex mutex_{"Frontend::mutex_"};
   std::map<proc::Pid, std::shared_ptr<net::Endpoint>> daemons_ TDP_GUARDED_BY(mutex_);
   std::vector<proc::Pid> finished_ TDP_GUARDED_BY(mutex_);
-  std::vector<std::thread> threads_ TDP_GUARDED_BY(mutex_);
 
   std::atomic<bool> running_{false};
   std::atomic<std::size_t> reports_{0};

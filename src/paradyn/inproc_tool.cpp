@@ -26,8 +26,7 @@ Result<proc::Pid> InProcParadynLauncher::launch(
   config.retry = options_.retry;
 
   const int timeout_ms = options_.run_timeout_ms;
-  LockGuard lock(mutex_);
-  threads_.emplace_back([this, config = std::move(config), timeout_ms]() mutable {
+  daemons_.launch([this, config = std::move(config), timeout_ms]() mutable {
     Paradynd daemon(std::move(config));
     Status status = daemon.start();
     if (status.is_ok()) status = daemon.run(timeout_ms);
@@ -41,20 +40,6 @@ Result<proc::Pid> InProcParadynLauncher::launch(
   const std::size_t count = launched_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Synthetic tool pid: negative ids cannot collide with real/sim pids.
   return static_cast<proc::Pid>(-static_cast<std::int64_t>(count));
-}
-
-void InProcParadynLauncher::join_all() {
-  while (true) {
-    std::vector<std::thread> to_join;
-    {
-      LockGuard lock(mutex_);
-      to_join.swap(threads_);
-    }
-    if (to_join.empty()) break;
-    for (auto& thread : to_join) {
-      if (thread.joinable()) thread.join();
-    }
-  }
 }
 
 Status InProcParadynLauncher::last_daemon_status() const {

@@ -8,10 +8,10 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "condor/starter.hpp"
+#include "paradyn/daemon_threads.hpp"
 #include "paradyn/paradynd.hpp"
 #include "util/sync.hpp"
 
@@ -41,7 +41,7 @@ class InProcParadynLauncher final : public condor::ToolLauncher {
                            TdpSession& rm_session) override;
 
   /// Waits for every launched daemon thread to finish.
-  void join_all();
+  void join_all() { daemons_.join_all(); }
 
   [[nodiscard]] std::size_t daemons_launched() const {
     return launched_.load(std::memory_order_relaxed);
@@ -53,10 +53,10 @@ class InProcParadynLauncher final : public condor::ToolLauncher {
  private:
   Options options_;
   mutable Mutex mutex_{"InProcParadynLauncher::mutex_"};
-  std::vector<std::thread> threads_ TDP_GUARDED_BY(mutex_);
   Status last_status_ TDP_GUARDED_BY(mutex_);
 
   std::atomic<std::size_t> launched_{0};
+  DaemonThreads daemons_;
 };
 
 }  // namespace tdp::paradyn

@@ -63,7 +63,15 @@ Status Paradynd::start() {
   }
 
   // Figure 6 step 4 end: run the application from the very beginning.
-  TDP_RETURN_IF_ERROR(session_->continue_process(app_pid_));
+  Status continued = session_->continue_process(app_pid_);
+  if (!continued.is_ok()) {
+    // A lost LASS means the RM is gone: the application already ran and
+    // exited. With a front-end to tell, the first turn of run() reaches the
+    // same verdict (rm_gone) and sends the final report.
+    if (continued.code() != ErrorCode::kConnectionError || !frontend_) return continued;
+    started_ = true;
+    return Status::ok();
+  }
 
   // Self-hosted telemetry: the RT exports its registry into the job's
   // LASS over its own session, batched per interval.

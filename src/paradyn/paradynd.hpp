@@ -92,7 +92,9 @@ class Paradynd {
   Paradynd& operator=(const Paradynd&) = delete;
 
   /// Runs the full startup handshake described above. On return the
-  /// application is running with instrumentation in place.
+  /// application is running with instrumentation in place, unless the
+  /// LASS went away after the front-end link came up: then the job is
+  /// over and run() sends the final report.
   Status start();
 
   /// One poll-loop turn. Returns false once the application has exited

@@ -169,8 +169,7 @@ Result<proc::Pid> InProcTraceLauncher::launch(
                         (spec.output.empty() ? "trace" : spec.output);
   }
   const int timeout_ms = options_.run_timeout_ms;
-  LockGuard lock(mutex_);
-  threads_.emplace_back([this, config = std::move(config), timeout_ms]() mutable {
+  tracers_.launch([this, config = std::move(config), timeout_ms]() mutable {
     TraceTool tracer(std::move(config));
     Status status = tracer.start();
     if (status.is_ok()) status = tracer.run(timeout_ms);
@@ -181,20 +180,6 @@ Result<proc::Pid> InProcTraceLauncher::launch(
   });
   const std::size_t count = launched_.fetch_add(1, std::memory_order_relaxed) + 1;
   return static_cast<proc::Pid>(-1000 - static_cast<std::int64_t>(count));
-}
-
-void InProcTraceLauncher::join_all() {
-  while (true) {
-    std::vector<std::thread> to_join;
-    {
-      LockGuard lock(mutex_);
-      to_join.swap(threads_);
-    }
-    if (to_join.empty()) break;
-    for (auto& thread : to_join) {
-      if (thread.joinable()) thread.join();
-    }
-  }
 }
 
 Status InProcTraceLauncher::last_tracer_status() const {

@@ -18,15 +18,14 @@
 // execution nodes after the application completes" artifact.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <atomic>
-#include <thread>
-
 #include "condor/starter.hpp"
 #include "core/tdp.hpp"
+#include "paradyn/daemon_threads.hpp"
 #include "paradyn/dyninst.hpp"
 #include "util/sync.hpp"
 
@@ -125,7 +124,7 @@ class InProcTraceLauncher final : public condor::ToolLauncher {
                            const std::string& pid_attribute,
                            TdpSession& rm_session) override;
 
-  void join_all();
+  void join_all() { tracers_.join_all(); }
 
   [[nodiscard]] std::size_t tracers_launched() const {
     return launched_.load(std::memory_order_relaxed);
@@ -136,11 +135,11 @@ class InProcTraceLauncher final : public condor::ToolLauncher {
  private:
   Options options_;
   mutable Mutex mutex_{"InProcTraceLauncher::mutex_"};
-  std::vector<std::thread> threads_ TDP_GUARDED_BY(mutex_);
   Status last_status_ TDP_GUARDED_BY(mutex_);
   std::size_t last_records_ TDP_GUARDED_BY(mutex_) = 0;
 
   std::atomic<std::size_t> launched_{0};
+  DaemonThreads tracers_;
 };
 
 }  // namespace tdp::paradyn

@@ -7,9 +7,11 @@
 #include <poll.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
@@ -249,6 +251,98 @@ TEST(InProc, RejectsNonInprocAddress) {
   auto transport = InProcTransport::create();
   EXPECT_FALSE(transport->listen("127.0.0.1:0").is_ok());
   EXPECT_FALSE(transport->connect("host:1").is_ok());
+}
+
+bool polls_readable(int fd) {
+  struct pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, 0) == 1;
+}
+
+std::size_t open_descriptors() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A pipe holds 64 KiB, so one byte per message stopped mirroring the level
+// past 65,536 queued messages: a poller then slept on queued work.
+TEST(InProc, ReadableFdHoldsLevelPastPipeCapacity) {
+  InProcPair pair = make_inproc_pair("client", "server");
+  const int fd = pair.server->readable_fd();
+  ASSERT_GE(fd, 0);
+  constexpr int kPushed = 70'000;
+  constexpr int kPopped = 66'000;
+  for (int i = 0; i < kPushed; ++i) {
+    ASSERT_TRUE(pair.client->send(Message(MsgType::kPing)).is_ok());
+  }
+  for (int i = 0; i < kPopped; ++i) {
+    ASSERT_TRUE(pair.server->receive(0).is_ok()) << "at i=" << i;
+  }
+  EXPECT_TRUE(polls_readable(fd)) << (kPushed - kPopped) << " messages still queued";
+  for (int i = kPopped; i < kPushed; ++i) {
+    ASSERT_TRUE(pair.server->receive(0).is_ok()) << "at i=" << i;
+  }
+  EXPECT_FALSE(polls_readable(fd));
+}
+
+// A push adds its unit to the level after it lets go of the queue lock, so
+// a pop can overtake it. The level must still settle to what is queued.
+TEST(InProc, LevelSettlesUnderConcurrentPushAndPop) {
+  InProcPair pair = make_inproc_pair("client", "server");
+  const int fd = pair.server->readable_fd();
+  constexpr int kMessages = 20'000;
+  std::thread producer([&] {
+    for (int i = 0; i < kMessages; ++i) {
+      ASSERT_TRUE(pair.client->send(Message(MsgType::kPing)).is_ok());
+    }
+  });
+  int received = 0;
+  while (received < kMessages) {
+    struct pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "level lost with " << received << " received";
+    while (pair.server->receive(0).is_ok()) ++received;
+  }
+  producer.join();
+  // Every add has landed now; an empty receive takes any unit a pop could
+  // not take when it ran ahead of its push.
+  EXPECT_FALSE(pair.server->receive(0).is_ok());
+  EXPECT_FALSE(polls_readable(fd));
+}
+
+TEST(InProc, QueueNobodyPollsOwnsNoDescriptor) {
+  const std::size_t before = open_descriptors();
+  std::vector<InProcPair> channels;
+  for (int i = 0; i < 200; ++i) {
+    channels.push_back(make_inproc_pair("client", "server"));
+    ASSERT_TRUE(channels.back().client->send(Message(MsgType::kPing)).is_ok());
+  }
+  EXPECT_EQ(open_descriptors(), before);
+  // Polling one direction makes exactly one descriptor, already readable
+  // for the message queued before it existed.
+  const int fd = channels.front().server->readable_fd();
+  EXPECT_EQ(open_descriptors(), before + 1);
+  EXPECT_TRUE(polls_readable(fd));
+  channels.clear();
+  EXPECT_EQ(open_descriptors(), before);
+}
+
+TEST(InProc, ClosedQueueStaysReadable) {
+  InProcPair pair = make_inproc_pair("client", "server");
+  const int fd = pair.server->readable_fd();
+  ASSERT_TRUE(pair.client->send(Message(MsgType::kShutdown)).is_ok());
+  pair.client->close();
+  EXPECT_TRUE(polls_readable(fd));
+  ASSERT_TRUE(pair.server->receive(0).is_ok());
+  // The close marker is never taken: a poller keeps seeing the end.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(polls_readable(fd));
+    auto after = pair.server->receive(0);
+    ASSERT_FALSE(after.is_ok());
+    EXPECT_EQ(after.status().code(), ErrorCode::kConnectionError);
+  }
 }
 
 }  // namespace

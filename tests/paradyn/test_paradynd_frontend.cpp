@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
@@ -188,6 +190,75 @@ TEST_F(ParadyndTest, CommandForUnknownPidFails) {
   Frontend frontend(transport_);
   frontend.start("inproc://pd-fe2").value();
   EXPECT_EQ(frontend.command(4242, "pause").code(), ErrorCode::kNotFound);
+  frontend.stop();
+}
+
+// The starter retires a job's LASS once the application has exited. When
+// that happens between paradynd's continue request and its reply, the RM
+// is gone, not the report: the daemon must still end the job with a final
+// report to the front-end.
+TEST(ParadyndStartupRace, LassRetiredBeforeContinueReplyStillReports) {
+  auto transport = net::InProcTransport::create();
+  attr::AttrServer lass("LASS", transport);
+  const std::string lass_address = lass.start("inproc://race-lass").value();
+  Frontend frontend(transport);
+  const std::string frontend_address = frontend.start("inproc://race-fe").value();
+
+  auto backend = std::make_shared<proc::SimProcessBackend>();
+  proc::CreateOptions create;
+  create.argv = {"race_app"};
+  create.mode = proc::CreateMode::kPaused;
+  create.sim_work_units = 1;
+  const proc::Pid pid = backend->create_process(create).value();
+
+  // A hand-written RM: it answers attach, but on continue it runs the
+  // 1-unit application to its exit and stops the LASS before replying.
+  auto rm = attr::AttrClient::connect(*transport, lass_address, "tdp").value();
+  ASSERT_TRUE(rm->put(attr::attrs::kPid, std::to_string(pid)).is_ok());
+  std::atomic<bool> retired{false};
+  ASSERT_TRUE(rm->subscribe(control::kRequestPattern,
+                            [&](const std::string& attribute, const std::string& value) {
+                              const std::string reply =
+                                  "tdprep." + attribute.substr(std::strlen("tdpreq."));
+                              if (value.rfind("op:attach", 0) == 0) {
+                                backend->attach(pid);
+                                rm->put(reply, "ok");
+                              } else if (value.rfind("op:continue", 0) == 0) {
+                                backend->continue_process(pid);
+                                while (!proc::is_terminal(backend->info(pid)->state)) {
+                                  backend->step(1);
+                                }
+                                lass.stop();
+                                retired.store(true);
+                              }
+                            })
+                  .is_ok());
+  std::atomic<bool> started_up{false};
+  std::thread pump([&] {
+    while (!retired.load() && !started_up.load()) {
+      rm->service_events();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  ParadyndConfig config;
+  config.lass_address = lass_address;
+  config.transport = transport;
+  config.frontend_address = frontend_address;
+  Paradynd daemon(std::move(config));
+  Status started = daemon.start();
+  started_up.store(true);
+  pump.join();
+  ASSERT_TRUE(retired.load());
+  ASSERT_TRUE(started.is_ok()) << started.to_string();
+  EXPECT_TRUE(daemon.run(5'000).is_ok());
+  EXPECT_TRUE(daemon.app_exited());
+  daemon.stop();
+
+  for (int i = 0; i < 2500 && frontend.finished_pids().empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(frontend.finished_pids(), std::vector<proc::Pid>{pid});
   frontend.stop();
 }
 
