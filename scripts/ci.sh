@@ -109,6 +109,12 @@ run_tsan() {
   # starter's co-located session inside the whole Figure-6 pipeline.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_attr_tests --gtest_filter='OwnerEndpoint*'
+  # The client's own threads: callers handing the reader role over, the
+  # poll set's eventfd raised by one thread and taken back by another, and
+  # the call table replayed while other callers register into it.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_attr_tests \
+    --gtest_filter='ClientConcurrency.*:AttrEndToEnd.*:AttrClientResubscribe.*:*TracePropagation.*:*ClientCallPath*'
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_core_tests \
     --gtest_filter='*SessionTest.*:*SessionEventLoopTest.*'

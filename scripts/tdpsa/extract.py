@@ -62,6 +62,30 @@ TYPE_NOISE = {
 
 _MUTEX_NAME_RE = re.compile(r'\{\s*"([^"]*)"')
 
+# Templates a call on the member passes straight through to their first
+# argument (`ptr->close()` calls the pointee's close()).
+POINTER_WRAPPERS = {"shared_ptr", "unique_ptr", "weak_ptr", "optional"}
+
+
+def member_type(head: list[Tok]) -> str | None:
+    """The class calls on a member of declared type `head` resolve to.
+
+    A pointer wrapper is typed by its first argument; any other template
+    by its own name, never by an argument:
+    `shared_ptr<InProcQueue<unique_ptr<Endpoint>>>` is an `InProcQueue`,
+    not an `Endpoint`.
+    """
+    name = None
+    for k, t in enumerate(head):
+        if t.text == "<":
+            return member_type(head[k + 1:]) if name in POINTER_WRAPPERS \
+                else name
+        if t.text in (",", ">", ">>"):
+            break
+        if t.kind == "id" and t.text not in TYPE_NOISE:
+            name = t.text
+    return name
+
 
 class FileWalker:
     def __init__(self, program: Program, relpath: str, text: str):
@@ -386,10 +410,10 @@ class FileWalker:
         if len(ids) < 2:
             return
         member = ids[-1].text
-        type_base = ids[-2].text
         if member in TYPE_NOISE:
             return
-        if type_base not in TYPE_NOISE:
+        type_base = member_type(head[:head.index(ids[-1])])
+        if type_base:
             self.p.members.setdefault(owner, {})[member] = type_base
         aliases = self.p.callbacks.get("<aliases>", set())
         if "function" in [t.text for t in head[:stop]] or \

@@ -1,8 +1,13 @@
 #include "attrspace/attr_client.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -17,6 +22,11 @@ using net::MsgType;
 
 namespace {
 const log::Logger kLog("attr_client");
+
+/// The init is every client's first call, so it always has this seq.
+constexpr std::uint64_t kInitSeq = 1;
+/// How long a tdp_init waits for its reply before the link counts as dead.
+constexpr Micros kJoinTimeoutMicros = 5'000'000;
 
 telemetry::Counter& calls_counter() {
   static telemetry::Counter& c =
@@ -59,16 +69,6 @@ void stamp_trace(Message& request) {
   }
 }
 
-/// Adopts the trace header of a reply as the thread's ambient context:
-/// whatever the caller does next (e.g. paradynd attaching after its
-/// blocking get("pid") returns) parents to the writer's span.
-void adopt_reply_trace(const Message& reply) {
-  const std::string_view header = reply.get_view(net::kTraceField);
-  if (header.empty()) return;
-  const telemetry::SpanContext ctx = telemetry::parse_context(header);
-  if (ctx.valid()) telemetry::set_ambient_context(ctx);
-}
-
 Status status_from_reply(const Message& reply) {
   const std::string status = reply.get(field::kStatus);
   if (status == "ok") return Status::ok();
@@ -91,6 +91,32 @@ Status status_from_reply(const Message& reply) {
 /// True when the reply is a served-but-shed backpressure answer.
 bool reply_is_busy(const Message& reply) {
   return reply.get(field::kStatus) == "busy";
+}
+
+/// The trace context a reply or notify says its value was written under.
+telemetry::SpanContext writer_of(const Message& msg) {
+  return telemetry::parse_context(msg.get_view(net::kTraceField));
+}
+
+/// The status a reply carries, or why there is none.
+Status status_of(const Result<Message>& reply) {
+  return reply.is_ok() ? status_from_reply(reply.value()) : reply.status();
+}
+
+/// The value a get reply carries. `writer`, when given, receives the trace
+/// context the value was written under (the reply's trace header).
+Result<std::string> value_of(Result<Message> reply, telemetry::SpanContext* writer) {
+  if (!reply.is_ok()) return reply.status();
+  Status status = status_from_reply(reply.value());
+  if (!status.is_ok()) return status;
+  if (writer != nullptr) *writer = writer_of(reply.value());
+  return reply->get(field::kValue);
+}
+
+/// `wait_ms` (<0: unbounded) capped at `cap_ms`.
+int capped(int wait_ms, Micros cap_ms) {
+  const int cap = static_cast<int>(std::max<Micros>(0, cap_ms));
+  return wait_ms < 0 ? cap : std::min(wait_ms, cap);
 }
 
 /// Distinct per client instance in this process; combined with a counter
@@ -132,9 +158,12 @@ int retry_after_hint_ms(const Status& status) {
   return std::atoi(status.message().c_str() + at + key.size());
 }
 
-AttrClient::AttrClient(std::unique_ptr<net::Endpoint> endpoint, std::string context)
-    : context_(std::move(context)), batch_nonce_(make_batch_nonce(this)),
-      endpoint_(std::move(endpoint)) {
+AttrClient::AttrClient(std::unique_ptr<net::Endpoint> endpoint, std::string context,
+                       RetryPolicy retry, net::Transport* transport, std::string address)
+    : context_(std::move(context)), retry_(retry), transport_(transport),
+      address_(std::move(address)), batch_nonce_(make_batch_nonce(this)),
+      endpoint_(std::move(endpoint)), link_(endpoint_ ? Link::kJoining : Link::kDown),
+      join_deadline_(RealClock::instance().now_micros() + kJoinTimeoutMicros) {
   backoff_rng_.reseed(batch_nonce_);
 }
 
@@ -142,46 +171,22 @@ Result<std::unique_ptr<AttrClient>> AttrClient::connect(net::Transport& transpor
                                                         const std::string& address,
                                                         const std::string& context,
                                                         RetryPolicy retry) {
-  const int attempts = retry.enabled ? retry.max_reconnects + 1 : 1;
-  Rng jitter(0xc0ffee ^ std::hash<std::string>{}(address));
-  Status last = make_error(ErrorCode::kConnectionError, "not attempted");
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      const int backoff = backoff_delay_ms(retry, attempt, 0, jitter);
-      if (backoff > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      }
-    }
-    auto connected = transport.connect(address);
-    if (!connected.is_ok()) {
-      last = connected.status();
-      continue;
-    }
-    std::unique_ptr<AttrClient> client(
-        new AttrClient(std::move(connected).value(), context));
-    {
-      LockGuard lock(client->mutex_);
-      client->retry_ = retry;  // before init so a dropped init frame resends
-    }
-    Status init = client->perform_init();
-    if (!init.is_ok()) {
-      last = init;
-      continue;
-    }
-    {
-      LockGuard lock(client->mutex_);
-      client->transport_ = &transport;
-      client->address_ = address;
-    }
-    return client;
-  }
-  return last;
+  // With retry, a refused first dial is redialed as a dropped link is.
+  auto dialed = transport.connect(address);
+  if (!dialed.is_ok() && !retry.enabled) return dialed.status();
+  std::unique_ptr<AttrClient> client(
+      new AttrClient(dialed.is_ok() ? std::move(dialed).value() : nullptr, context,
+                     retry, &transport, address));
+  TDP_RETURN_IF_ERROR(client->join());
+  return client;
 }
 
 Result<std::unique_ptr<AttrClient>> AttrClient::adopt(
-    std::unique_ptr<net::Endpoint> endpoint, const std::string& context) {
-  std::unique_ptr<AttrClient> client(new AttrClient(std::move(endpoint), context));
-  TDP_RETURN_IF_ERROR(client->perform_init());
+    std::unique_ptr<net::Endpoint> endpoint, const std::string& context,
+    RetryPolicy retry) {
+  std::unique_ptr<AttrClient> client(
+      new AttrClient(std::move(endpoint), context, retry));
+  TDP_RETURN_IF_ERROR(client->join());
   return client;
 }
 
@@ -189,199 +194,80 @@ AttrClient::~AttrClient() {
   // Best effort; exit() is a no-op when already exited or disconnected, and
   // the server also handles abrupt disconnects as implicit exits.
   exit();
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (event_fd_ >= 0) ::close(event_fd_);
 }
 
-void AttrClient::set_retry_policy(RetryPolicy retry) {
-  LockGuard lock(mutex_);
-  retry_ = retry;
-}
-
-Status AttrClient::perform_init() {
-  LockGuard lock(mutex_);
-  return init_on_endpoint_locked();
-}
-
-Status AttrClient::init_on_endpoint_locked() {
-  Message init(MsgType::kAttrInit);
-  const std::uint64_t awaited = next_seq();
-  init.set_seq(awaited);
-  init.set(field::kContext, context_);
-  TDP_RETURN_IF_ERROR(endpoint_->send(init));
-  const Clock& wall = RealClock::instance();
-  const Micros deadline = wall.now_micros() + 5'000'000;
-  Micros last_send = wall.now_micros();
-  while (wall.now_micros() < deadline) {
-    auto received = endpoint_->receive(200);
-    if (!received.is_ok()) {
-      if (received.status().code() == ErrorCode::kTimeout) {
-        // A lossy link may have eaten the init; resend (a duplicate init
-        // is balanced by the matching implicit exit at teardown).
-        if (retry_.enabled &&
-            wall.now_micros() - last_send >
-                static_cast<Micros>(retry_.attempt_timeout_ms) * 1000) {
-          replays_.fetch_add(1, std::memory_order_relaxed);
-          replays_counter().inc();
-          endpoint_->send(init);
-          last_send = wall.now_micros();
-        }
-        continue;
-      }
-      return received.status();
-    }
-    Message reply;
-    if (!route_message(std::move(received).value(), awaited, &reply)) continue;
-    if (reply.type() != MsgType::kAttrInitReply) {
-      return make_error(ErrorCode::kInternal, "bad init reply: " + reply.to_string());
-    }
-    return status_from_reply(reply);
+Status AttrClient::join() {
+  auto seq = start(request(MsgType::kAttrInit));
+  if (!seq.is_ok()) return seq.status();
+  auto reply = run(seq.value(), -1);  // bounded by the join deadline
+  if (reply.is_ok() && reply->type() != MsgType::kAttrInitReply) {
+    return make_error(ErrorCode::kInternal, "bad init reply: " + reply->to_string());
   }
-  return make_error(ErrorCode::kTimeout, "tdp_init timed out");
+  return status_of(reply);
 }
 
-bool AttrClient::can_reconnect_locked() const {
-  return retry_.enabled && transport_ != nullptr && !exited_;
+Message AttrClient::request(MsgType type) const {
+  Message message(type);
+  message.set(field::kContext, context_);
+  return message;
 }
-
-Status AttrClient::reconnect_locked() {
-  Status last = make_error(ErrorCode::kConnectionError, "reconnect not attempted");
-  for (int attempt = 1; attempt <= retry_.max_reconnects; ++attempt) {
-    const int backoff = backoff_delay_ms(retry_, attempt, 0, backoff_rng_);
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
-    auto connected = transport_->connect(address_);
-    if (!connected.is_ok()) {
-      last = connected.status();
-      continue;
-    }
-    endpoint_ = std::move(connected).value();
-    Status init = init_on_endpoint_locked();
-    if (!init.is_ok()) {
-      last = init;
-      continue;
-    }
-    // Re-register every subscription under its original seq so notify
-    // correlation keeps working; the acks are routed and dropped as
-    // already-answered replies. Each send's status matters: a fresh
-    // endpoint that dies here would otherwise report a "successful"
-    // reconnect whose lease watches are never re-armed server-side.
-    Status rearm = Status::ok();
-    for (const Subscription& sub : subscriptions_) {
-      Message request(MsgType::kAttrSubscribe);
-      request.set_seq(sub.seq);
-      request.set(field::kContext, context_);
-      request.set(field::kPattern, sub.pattern);
-      rearm = endpoint_->send(std::move(request));
-      if (!rearm.is_ok()) break;
-    }
-    // Replay in-flight async operations (idempotent: puts overwrite).
-    if (rearm.is_ok()) {
-      for (const auto& [seq, pending] : pending_async_) {
-        Message request(pending.type);
-        request.set_seq(seq);
-        request.set(field::kContext, context_);
-        request.set(field::kAttribute, pending.attribute);
-        if (pending.type == MsgType::kAttrPut) {
-          request.set(field::kValue, pending.value);
-        }
-        rearm = endpoint_->send(std::move(request));
-        if (!rearm.is_ok()) break;
-      }
-    }
-    if (!rearm.is_ok()) {
-      kLog.warn("reconnect attempt ", attempt,
-                " lost the connection mid-rearm: ", rearm.to_string());
-      endpoint_->close();
-      last = rearm;
-      continue;  // counts as a failed attempt; keep backing off
-    }
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
-    reconnects_counter().inc();
-    kLog.info("reconnected to ", address_, " (attempt ", attempt, "), ",
-              subscriptions_.size(), " subscriptions re-registered, ",
-              pending_async_.size(), " async ops replayed");
-    return Status::ok();
-  }
-  return last;
-}
-
-std::uint64_t AttrClient::next_seq() { return ++seq_; }
 
 Status AttrClient::put(const std::string& attribute, const std::string& value) {
-  Message request(MsgType::kAttrPut);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  request.set(field::kValue, value);
-  auto reply = call(std::move(request), -1);
-  if (!reply.is_ok()) return reply.status();
-  return status_from_reply(reply.value());
+  Message put = request(MsgType::kAttrPut);
+  put.set(field::kAttribute, attribute);
+  put.set(field::kValue, value);
+  return status_of(call(std::move(put), -1));
 }
 
 Status AttrClient::put_batch(
     const std::vector<std::pair<std::string, std::string>>& pairs) {
   if (pairs.empty()) return Status::ok();
-  Message request(MsgType::kAttrPutBatch);
-  request.reserve_fields(3 + 2 * pairs.size());
-  request.set(field::kContext, context_);
-  request.set_int(field::kCount, static_cast<std::int64_t>(pairs.size()));
+  Message batch(MsgType::kAttrPutBatch);
+  batch.reserve_fields(3 + 2 * pairs.size());
+  batch.set(field::kContext, context_);
+  batch.set_int(field::kCount, static_cast<std::int64_t>(pairs.size()));
   {
     // Batch id: lets the server recognize a replayed batch (ack lost to a
     // disconnect) and acknowledge without applying twice.
     LockGuard lock(mutex_);
-    request.set(field::kBatchId, std::to_string(batch_nonce_) + "-" +
-                                     std::to_string(++batch_counter_));
+    batch.set(field::kBatchId, std::to_string(batch_nonce_) + "-" +
+                                   std::to_string(++batch_counter_));
   }
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     // add() skips the duplicate-key scan; the k<i>/v<i> scheme guarantees
     // uniqueness, keeping batch construction O(N).
     const std::string index = std::to_string(i);
-    request.add(field::kKeyPrefix + index, pairs[i].first);
-    request.add(field::kValPrefix + index, pairs[i].second);
+    batch.add(field::kKeyPrefix + index, pairs[i].first);
+    batch.add(field::kValPrefix + index, pairs[i].second);
   }
-  auto reply = call(std::move(request), -1);
-  if (!reply.is_ok()) return reply.status();
-  return status_from_reply(reply.value());
+  return status_of(call(std::move(batch), -1));
 }
 
-Result<std::string> AttrClient::get(const std::string& attribute, int timeout_ms) {
-  Message request(MsgType::kAttrGet);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  request.set(field::kBlock, "1");
-  auto reply = call(std::move(request), timeout_ms);
-  if (!reply.is_ok()) return reply.status();
-  Status status = status_from_reply(reply.value());
-  if (!status.is_ok()) return status;
-  adopt_reply_trace(reply.value());
-  return reply->get(field::kValue);
+Result<std::string> AttrClient::get(const std::string& attribute, int timeout_ms,
+                                    telemetry::SpanContext* writer) {
+  Message get = request(MsgType::kAttrGet);
+  get.set(field::kAttribute, attribute);
+  get.set(field::kBlock, "1");
+  return value_of(call(std::move(get), timeout_ms), writer);
 }
 
 Result<std::string> AttrClient::try_get(const std::string& attribute) {
-  Message request(MsgType::kAttrGet);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  request.set(field::kBlock, "0");
-  auto reply = call(std::move(request), -1);
-  if (!reply.is_ok()) return reply.status();
-  Status status = status_from_reply(reply.value());
-  if (!status.is_ok()) return status;
-  adopt_reply_trace(reply.value());
-  return reply->get(field::kValue);
+  Message get = request(MsgType::kAttrGet);
+  get.set(field::kAttribute, attribute);
+  get.set(field::kBlock, "0");
+  return value_of(call(std::move(get), -1), nullptr);
 }
 
 Status AttrClient::remove(const std::string& attribute) {
-  Message request(MsgType::kAttrRemove);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  auto reply = call(std::move(request), -1);
-  if (!reply.is_ok()) return reply.status();
-  return status_from_reply(reply.value());
+  Message remove = request(MsgType::kAttrRemove);
+  remove.set(field::kAttribute, attribute);
+  return status_of(call(std::move(remove), -1));
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> AttrClient::list() {
-  Message request(MsgType::kAttrList);
-  request.set(field::kContext, context_);
-  auto reply = call(std::move(request), -1);
+  auto reply = call(request(MsgType::kAttrList), -1);
   if (!reply.is_ok()) return reply.status();
   Status status = status_from_reply(reply.value());
   if (!status.is_ok()) return status;
@@ -397,306 +283,331 @@ Result<std::vector<std::pair<std::string, std::string>>> AttrClient::list() {
 
 Result<int> AttrClient::async_get(const std::string& attribute,
                                   CompletionCallback callback) {
-  LockGuard lock(mutex_);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
-    }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
-  }
-  Message request(MsgType::kAttrAsyncGet);
-  const std::uint64_t seq_used = next_seq();
-  request.set_seq(seq_used);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  stamp_trace(request);
-  TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
-  pending_async_[seq_used] = {MsgType::kAttrAsyncGet, attribute, "",
-                              std::move(callback)};
-  return endpoint_->readable_fd();
+  Message get = request(MsgType::kAttrAsyncGet);
+  get.set(field::kAttribute, attribute);
+  return async_call(std::move(get), std::move(callback));
 }
 
 Result<int> AttrClient::async_put(const std::string& attribute, const std::string& value,
                                   CompletionCallback callback) {
-  LockGuard lock(mutex_);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
-    }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
-  }
-  Message request(MsgType::kAttrPut);
-  const std::uint64_t seq_used = next_seq();
-  request.set_seq(seq_used);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  request.set(field::kValue, value);
-  stamp_trace(request);
-  TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
-  pending_async_[seq_used] = {MsgType::kAttrPut, attribute, value,
-                              std::move(callback)};
-  return endpoint_->readable_fd();
+  Message put = request(MsgType::kAttrPut);
+  put.set(field::kAttribute, attribute);
+  put.set(field::kValue, value);
+  return async_call(std::move(put), std::move(callback));
+}
+
+Result<int> AttrClient::async_call(Message message, CompletionCallback callback) {
+  stamp_trace(message);
+  TDP_RETURN_IF_ERROR(start(std::move(message), std::move(callback)).status());
+  return readable_fd();
 }
 
 Status AttrClient::subscribe(const std::string& pattern, NotifyCallback callback) {
-  // Register client-side first so a notify racing the subscribe ack is not
-  // lost; seq is fixed up under the same lock as the send.
-  LockGuard lock(mutex_);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
-    }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
-  }
-  const std::uint64_t seq_used = next_seq();
-  subscriptions_.push_back({seq_used, pattern, std::move(callback)});
-  Message request(MsgType::kAttrSubscribe);
-  request.set_seq(seq_used);
-  request.set(field::kContext, context_);
-  request.set(field::kPattern, pattern);
-  stamp_trace(request);
-  Status sent = endpoint_->send(std::move(request));
-  if (!sent.is_ok()) {
-    if (!can_reconnect_locked()) {
-      subscriptions_.pop_back();
-      return sent;
-    }
-    // reconnect_locked re-sends every registered subscription, including
-    // the one just added.
-    Status reconnected = reconnect_locked();
-    if (!reconnected.is_ok()) {
-      subscriptions_.pop_back();
-      return reconnected;
-    }
-  }
+  Message subscribe = request(MsgType::kAttrSubscribe);
+  subscribe.set(field::kPattern, pattern);
+  stamp_trace(subscribe);
+  auto seq = start(std::move(subscribe), nullptr, std::move(callback));
+  if (!seq.is_ok()) return seq.status();
   // Wait (bounded) for the acknowledgement so callers know the
-  // subscription is live; re-send on a lost frame when retry is enabled.
-  const Clock& wall = RealClock::instance();
-  const Micros deadline = wall.now_micros() + 30'000'000;
-  Micros last_resend = wall.now_micros();
-  while (wall.now_micros() < deadline) {
-    auto received = endpoint_->receive(200);
-    if (!received.is_ok()) {
-      if (received.status().code() == ErrorCode::kTimeout) {
-        if (retry_.enabled &&
-            wall.now_micros() - last_resend >
-                static_cast<Micros>(retry_.attempt_timeout_ms) * 1000) {
-          Message resend(MsgType::kAttrSubscribe);
-          resend.set_seq(seq_used);
-          resend.set(field::kContext, context_);
-          resend.set(field::kPattern, pattern);
-          replays_.fetch_add(1, std::memory_order_relaxed);
-          replays_counter().inc();
-          endpoint_->send(std::move(resend));
-          last_resend = wall.now_micros();
-        }
-        continue;
-      }
-      if (!can_reconnect_locked()) return received.status();
-      Status reconnected = reconnect_locked();  // re-sends the subscription
-      if (!reconnected.is_ok()) return reconnected;
-      continue;
-    }
-    Message reply;
-    if (route_message(std::move(received).value(), seq_used, &reply)) {
-      return status_from_reply(reply);
-    }
-  }
-  return make_error(ErrorCode::kTimeout, "subscribe not acknowledged");
+  // subscription is live. The entry is routable from the moment it was
+  // registered, so a notify racing the ack is not lost.
+  Status status =
+      status_of(run(seq.value(), RealClock::instance().now_micros() + 30'000'000));
+  if (!status.is_ok()) forget(seq.value());
+  return status;
 }
 
-Result<Message> AttrClient::call(Message request, int timeout_ms) {
+Result<Message> AttrClient::call(Message message, int timeout_ms) {
   calls_counter().inc();
   const bool traced = telemetry::current_context().valid();
   const Clock& wall = RealClock::instance();
-  const Micros start = traced ? telemetry::Tracer::instance().now() : 0;
-  const bool has_deadline = timeout_ms >= 0;
+  const Micros start_us = traced ? telemetry::Tracer::instance().now() : 0;
   const Micros deadline =
-      wall.now_micros() + static_cast<Micros>(timeout_ms) * 1000;
-  Result<Message> result =
-      make_error(ErrorCode::kInternal, "call not attempted");
+      timeout_ms < 0 ? -1 : wall.now_micros() + static_cast<Micros>(timeout_ms) * 1000;
+  stamp_trace(message);
+  Result<Message> reply = Message();
   for (int busy_attempt = 1;; ++busy_attempt) {
-    int delay_ms = 0;
+    auto seq = start(std::move(message));
+    if (!seq.is_ok()) {
+      reply = seq.status();
+      break;
+    }
+    reply = run(seq.value(), deadline);
+    const bool busy = reply.is_ok() && reply_is_busy(reply.value());
+    const int hint_ms =
+        busy ? static_cast<int>(reply->get_int(field::kRetryAfterMs, 0)) : 0;
+    int delay_ms = -1;
     {
       LockGuard lock(mutex_);
-      int remaining_ms = timeout_ms;
-      if (has_deadline) {
-        remaining_ms = static_cast<int>(
-            std::max<Micros>(0, deadline - wall.now_micros()) / 1000);
-      }
-      result = call_locked(request, remaining_ms);
-      if (!result.is_ok() || !reply_is_busy(result.value())) break;
-      busy_counter().inc();
-      const int hint_ms =
-          static_cast<int>(result->get_int(field::kRetryAfterMs, 0));
-      if (!retry_.enabled || !retry_.honor_retry_after ||
-          busy_attempt > retry_.max_reconnects ||
-          (has_deadline && wall.now_micros() >= deadline)) {
-        break;  // surface the busy reply; status_from_reply maps it to kBusy
-      }
-      delay_ms = backoff_delay_ms(retry_, busy_attempt, hint_ms, backoff_rng_);
-      if (has_deadline) {
-        delay_ms = static_cast<int>(std::min<Micros>(
-            delay_ms, std::max<Micros>(0, deadline - wall.now_micros()) / 1000));
+      // The request leaves the table with its call; a busy retry re-sends it.
+      message = std::move(pending_.at(seq.value()).request);
+      pending_.erase(seq.value());
+      if (busy && retry_.enabled && retry_.honor_retry_after &&
+          busy_attempt <= retry_.max_reconnects &&
+          (deadline < 0 || wall.now_micros() < deadline)) {
+        delay_ms = backoff_delay_ms(retry_, busy_attempt, hint_ms, backoff_rng_);
       }
     }
-    // Wait out the server's retry-after hint OUTSIDE the client lock: other
-    // threads keep using the client, and blocking stays off the lock graph.
+    if (busy) busy_counter().inc();
+    if (delay_ms < 0) break;  // done; a busy reply surfaces as kBusy
+    if (deadline >= 0) {
+      delay_ms = static_cast<int>(std::min<Micros>(
+          delay_ms, std::max<Micros>(0, deadline - wall.now_micros()) / 1000));
+    }
+    // Wait out the server's retry-after hint with no lock held: other
+    // threads keep using the client.
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
   }
   if (traced) {
     call_histogram().record(static_cast<std::uint64_t>(
-        std::max<Micros>(0, telemetry::Tracer::instance().now() - start)));
+        std::max<Micros>(0, telemetry::Tracer::instance().now() - start_us)));
   }
-  return result;
+  return reply;
 }
 
-Result<Message> AttrClient::call_locked(Message request, int timeout_ms) {
-  stamp_trace(request);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
-    }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
+Result<std::uint64_t> AttrClient::start(Message message, CompletionCallback on_reply,
+                                        NotifyCallback on_notify) {
+  UniqueLock lock(mutex_);
+  if (link_ == Link::kDown && !can_redial_locked()) return link_error_;
+  const std::uint64_t seq = ++seq_;
+  message.set_seq(seq);
+  Call& call = pending_[seq];
+  call.request = std::move(message);
+  call.on_reply = std::move(on_reply);
+  call.on_notify = std::move(on_notify);
+  if (link_ == Link::kDown || (link_ == Link::kJoining && seq != kInitSeq)) {
+    return seq;  // the link sends it once the init is answered
   }
-  const bool has_deadline = timeout_ms >= 0;
+  call.sent_at = RealClock::instance().now_micros();
+  // Only its caller drops a synchronous entry, so it is sent in place; an
+  // async one may complete, and go, while it is still being sent.
+  const Message copy = call.on_reply ? call.request : Message();
+  const Message& out = call.on_reply ? copy : call.request;
+  const std::shared_ptr<net::Endpoint> endpoint = endpoint_;
+  lock.unlock();
+  transmit(endpoint, out);
+  return seq;
+}
+
+void AttrClient::forget(std::uint64_t seq) {
+  LockGuard lock(mutex_);
+  pending_.erase(seq);
+}
+
+Result<Message> AttrClient::run(std::uint64_t seq, Micros deadline) {
   const Clock& wall = RealClock::instance();
-  const Micros deadline =
-      wall.now_micros() + static_cast<Micros>(timeout_ms) * 1000;
-  int consecutive_conn_failures = 0;
+  // service_events() runs what its own reads queue; a caller waiting on a
+  // reply wakes the poll set for every callback its reads queue.
+  const bool servicing = seq == 0;
+  Result<Message> result = Message();
+  UniqueLock lock(mutex_);
   while (true) {
-    // (Re)send under a fresh seq; a straggler reply to a superseded seq is
-    // warn-dropped by route_message.
-    request.set_seq(next_seq());
-    const std::uint64_t awaited = request.seq();
-    Status sent = endpoint_->send(request);
-    if (!sent.is_ok()) {
-      if (!can_reconnect_locked() ||
-          ++consecutive_conn_failures > retry_.max_reconnects) {
-        return sent;
+    const Micros now = wall.now_micros();
+    if (seq != 0) {
+      Call& call = pending_.at(seq);
+      if (call.reply) {
+        result = std::move(*call.reply);
+        // Answered. A TCP endpoint may hold more frames in its buffer,
+        // where no poll sees them: drain them if anyone polls.
+        if (event_fd_ < 0) return result;
+        seq = 0;
+        continue;
       }
-      TDP_RETURN_IF_ERROR(reconnect_locked());
+      if (deadline >= 0 && now >= deadline) {
+        const std::string what = net::msg_type_name(call.request.type());
+        return make_error(ErrorCode::kTimeout, what + " timed out");
+      }
+    }
+    if (link_ == Link::kJoining && now >= join_deadline_) {
+      fail_link_locked(endpoint_, make_error(ErrorCode::kTimeout, "AttrInit timed out"));
+    }
+    if (link_ == Link::kDown) {
+      if (seq == 0 && !servicing) return result;  // a drain after a reply never redials
+      if (!can_redial_locked()) {
+        redials_ = 0;  // the next call or service_events() dials afresh
+        return seq == 0 ? result : Result<Message>(link_error_);
+      }
+    }
+    if (reading_) {
+      if (seq == 0) return result;  // the reading thread drains for us
+      if (deadline < 0) {
+        reader_done_.wait(lock);
+      } else {
+        reader_done_.wait_for(lock, std::chrono::microseconds(deadline - now));
+      }
       continue;
     }
-    while (true) {
-      int wait = -1;
-      if (has_deadline) {
-        const Micros now = wall.now_micros();
-        if (now >= deadline) return make_error(ErrorCode::kTimeout, "call timed out");
-        wait = static_cast<int>((deadline - now) / 1000 + 1);
+    reading_ = true;  // this thread reads for every caller until its turn ends
+
+    if (link_ == Link::kDown) {
+      const int backoff = backoff_delay_ms(retry_, ++redials_, 0, backoff_rng_);
+      lock.unlock();
+      if (backoff > 0) std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+      auto dialed = transport_->connect(address_);
+      std::shared_ptr<net::Endpoint> fresh =
+          dialed.is_ok() ? std::move(dialed).value() : nullptr;
+      lock.lock();
+      reading_ = false;
+      if (fresh) {
+        // The fresh link carries the init first; everything else still
+        // outstanding, the subscriptions included, follows its reply.
+        std::swap(fresh, endpoint_);
+        ++link_gen_;
+        link_ = Link::kJoining;
+        join_deadline_ = wall.now_micros() + kJoinTimeoutMicros;
+        rejoining_ = pending_.at(kInitSeq).reply.has_value();  // not the first dial
+        for (auto& [entry_seq, entry] : pending_) {
+          if (entry_seq == kInitSeq || entry.on_notify) entry.reply.reset();
+          if (!entry.reply) entry.sent_at = 0;
+        }
+      } else {
+        link_error_ = dialed.status();
       }
-      if (retry_.enabled && retry_.attempt_timeout_ms > 0) {
-        wait = wait < 0 ? retry_.attempt_timeout_ms
-                        : std::min(wait, retry_.attempt_timeout_ms);
-      }
-      auto received = endpoint_->receive(wait);
-      if (!received.is_ok()) {
-        if (received.status().code() == ErrorCode::kTimeout) {
-          if (has_deadline && wall.now_micros() >= deadline) {
-            return make_error(ErrorCode::kTimeout, "call timed out");
-          }
-          if (retry_.enabled) {
-            // The frame (or its reply) was probably lost; replay. All
-            // requests are idempotent (puts overwrite, batches are
-            // server-deduplicated by batch id).
-            replays_.fetch_add(1, std::memory_order_relaxed);
-            replays_counter().inc();
-            break;
-          }
+      reader_done_.notify_all();
+      lock.unlock();
+      fresh.reset();  // the dead endpoint goes with no lock held
+      watch();
+      lock.lock();
+      continue;
+    }
+
+    // The one replay rule, under retry: send every entry this link has not
+    // carried yet (on a joining link only the init) and every entry whose
+    // reply is overdue, each under its own seq.
+    std::vector<Message> out;
+    int replayed = 0;
+    const bool rearm = link_ == Link::kUp && std::exchange(rejoining_, false);
+    int wait = seq == 0 ? 0 : -1;
+    if (seq != 0 && deadline >= 0) wait = static_cast<int>((deadline - now) / 1000 + 1);
+    if (retry_.enabled) {
+      const Micros attempt = static_cast<Micros>(retry_.attempt_timeout_ms) * 1000;
+      const Micros overdue =
+          attempt > 0 ? now - attempt : std::numeric_limits<Micros>::min();  // never
+      for (auto& [entry_seq, entry] : pending_) {
+        if (entry.reply || (link_ == Link::kJoining && entry_seq != kInitSeq) ||
+            (entry.sent_at != 0 && entry.sent_at > overdue)) {
           continue;
         }
-        if (!can_reconnect_locked() ||
-            ++consecutive_conn_failures > retry_.max_reconnects) {
-          return received.status();
-        }
-        Status reconnected = reconnect_locked();
-        if (!reconnected.is_ok()) return reconnected;
-        break;  // resend on the fresh connection
+        if (entry.sent_at != 0) ++replayed;
+        entry.sent_at = now;
+        out.push_back(entry.request);
       }
-      consecutive_conn_failures = 0;
-      Message reply;
-      if (route_message(std::move(received).value(), awaited, &reply)) {
-        return reply;
-      }
+      if (retry_.attempt_timeout_ms > 0) wait = capped(wait, retry_.attempt_timeout_ms);
     }
+    if (link_ == Link::kJoining) wait = capped(wait, (join_deadline_ - now) / 1000 + 1);
+    const std::shared_ptr<net::Endpoint> endpoint = endpoint_;
+    lock.unlock();
+    if (replayed > 0) {
+      replays_.fetch_add(replayed, std::memory_order_relaxed);
+      replays_counter().add(static_cast<std::uint64_t>(replayed));
+    }
+    bool sent = true;
+    for (const Message& message : out) {
+      if (!(sent = transmit(endpoint, message))) break;
+    }
+    if (rearm && sent) {
+      reconnects_.fetch_add(1, std::memory_order_relaxed);
+      reconnects_counter().inc();
+      kLog.info("reconnected to ", endpoint->peer_address(), ", ", out.size(),
+                " calls re-sent");
+    }
+    Result<Message> received = make_error(ErrorCode::kTimeout, "");  // nothing read
+    if (sent) received = endpoint->receive(wait);
+    lock.lock();
+    reading_ = false;
+    if (received.is_ok()) {
+      if (received->seq() != kInitSeq) redials_ = 0;  // the link carries traffic
+      route(std::move(received).value());
+    } else if (received.status().code() != ErrorCode::kTimeout) {
+      fail_link_locked(endpoint, received.status());
+    }
+    reader_done_.notify_all();
+    if (!servicing && event_fd_ >= 0 && !ready_signalled_ && !ready_.empty()) {
+      ready_signalled_ = true;
+      const int fd = event_fd_;
+      lock.unlock();
+      const std::uint64_t one = 1;
+      [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
+      lock.lock();
+    }
+    if (seq == 0 && !received.is_ok()) return result;
   }
 }
 
-bool AttrClient::route_message(Message msg, std::uint64_t awaited_seq,
-                               Message* reply_out) {
-  if (msg.type() == MsgType::kAttrNotify) {
-    for (const auto& sub : subscriptions_) {
-      if (sub.seq == msg.seq()) {
-        NotifyCallback callback = sub.callback;
-        std::string attribute = msg.get(field::kAttribute);
-        std::string value = msg.get(field::kValue);
-        // The notify carries the writer's trace header; dispatch the
-        // callback under that ambient context so work it triggers joins
-        // the writer's causal tree.
-        const telemetry::SpanContext trace =
-            telemetry::parse_context(msg.get_view(net::kTraceField));
-        ready_callbacks_.push_back([callback = std::move(callback),
-                                    attribute = std::move(attribute),
-                                    value = std::move(value), trace] {
-          telemetry::ScopedAmbient ambient(trace);
-          callback(attribute, value);
-        });
-        return false;
-      }
+void AttrClient::route(Message msg) {
+  auto it = pending_.find(msg.seq());
+  if (it != pending_.end()) {
+    Call& call = it->second;
+    const bool notify = msg.type() == MsgType::kAttrNotify;
+    // A notify or async completion carries the writer's trace header; its
+    // callback runs under that ambient context so work it triggers joins
+    // the writer's causal tree.
+    if (notify && call.on_notify) {
+      ready_.push_back([callback = call.on_notify, attribute = msg.get(field::kAttribute),
+                        value = msg.get(field::kValue), trace = writer_of(msg)] {
+        telemetry::ScopedAmbient ambient(trace);
+        callback(attribute, value);
+      });
+      return;
     }
-    kLog.warn("notify for unknown subscription seq=", msg.seq());
-    return false;
+    if (!notify && call.on_reply) {
+      ready_.push_back([callback = std::move(call.on_reply),
+                        status = status_from_reply(msg),
+                        attribute = call.request.get(field::kAttribute),
+                        value = msg.get(field::kValue), trace = writer_of(msg)] {
+        telemetry::ScopedAmbient ambient(trace);
+        callback(status, attribute, value);
+      });
+      pending_.erase(it);
+      return;
+    }
+    if (!notify && !call.reply) {  // a replay's second answer finds it answered
+      if (it->first == kInitSeq && link_ == Link::kJoining) link_ = Link::kUp;
+      call.reply = std::move(msg);
+      return;
+    }
   }
-
-  auto async_it = pending_async_.find(msg.seq());
-  if (async_it != pending_async_.end() && msg.seq() != awaited_seq) {
-    PendingAsync pending = std::move(async_it->second);
-    pending_async_.erase(async_it);
-    Status status = status_from_reply(msg);
-    std::string value = msg.get(field::kValue);
-    const telemetry::SpanContext trace =
-        telemetry::parse_context(msg.get_view(net::kTraceField));
-    ready_callbacks_.push_back([pending = std::move(pending), status,
-                                value = std::move(value), trace] {
-      telemetry::ScopedAmbient ambient(trace);
-      pending.callback(status, pending.attribute, value);
-    });
-    return false;
-  }
-
-  if (msg.seq() == awaited_seq && awaited_seq != 0) {
-    *reply_out = std::move(msg);
-    return true;
-  }
-
   kLog.warn("dropping unexpected message ", msg.to_string());
+}
+
+bool AttrClient::transmit(const std::shared_ptr<net::Endpoint>& endpoint,
+                          const Message& message) {
+  Status sent = endpoint->send(message);
+  if (sent.is_ok()) return true;
+  LockGuard lock(mutex_);
+  fail_link_locked(endpoint, std::move(sent));
   return false;
 }
 
+void AttrClient::fail_link_locked(const std::shared_ptr<net::Endpoint>& endpoint,
+                                  Status why) {
+  if (endpoint != endpoint_ || link_ == Link::kDown) return;  // stale, or known
+  link_ = Link::kDown;
+  link_error_ = std::move(why);
+  reader_done_.notify_all();
+}
+
+bool AttrClient::can_redial_locked() const {
+  return retry_.enabled && transport_ != nullptr && !exited_ &&
+         redials_ < retry_.max_reconnects;
+}
+
 int AttrClient::service_events() {
+  run(0, 0);  // drains what has arrived; redials a dropped link if it may
   std::deque<std::function<void()>> to_run;
+  int signalled = -1;
   {
     LockGuard lock(mutex_);
-    if (endpoint_ && endpoint_->is_open()) {
-      while (true) {
-        auto received = endpoint_->receive(0);
-        if (!received.is_ok()) {
-          // Drained (timeout) or disconnected. A poll-loop daemon calls
-          // this every turn, so this is the natural place to heal a lost
-          // connection: redial, rejoin, re-register subscriptions.
-          if (received.status().code() != ErrorCode::kTimeout &&
-              can_reconnect_locked()) {
-            reconnect_locked();  // best effort; next turn retries again
-          }
-          break;
-        }
-        Message unused;
-        route_message(std::move(received).value(), /*awaited_seq=*/0, &unused);
-      }
-    }
-    to_run.swap(ready_callbacks_);
+    to_run.swap(ready_);
+    if (std::exchange(ready_signalled_, false)) signalled = event_fd_;
+  }
+  if (signalled >= 0) {
+    // Takes back the unit a blocking call added. The read blocks only in
+    // the instant between that call raising the flag and writing the unit.
+    std::uint64_t unit = 0;
+    [[maybe_unused]] const ssize_t n = ::read(signalled, &unit, sizeof(unit));
   }
   // Callbacks run outside the lock, on the caller's thread — the paper's
   // "well-known and (presumably) safe point".
@@ -710,48 +621,78 @@ int AttrClient::service_events() {
 }
 
 int AttrClient::readable_fd() const {
+  int fd = -1;
+  {
+    LockGuard lock(mutex_);
+    if (epoll_fd_ < 0) {
+      epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+      ready_signalled_ = !ready_.empty();
+      event_fd_ = ::eventfd(ready_signalled_ ? 1 : 0, EFD_SEMAPHORE | EFD_CLOEXEC);
+      epoll_event event{EPOLLIN, {.fd = event_fd_}};
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &event);
+    }
+    fd = epoll_fd_;
+  }
+  watch();
+  return fd;
+}
+
+void AttrClient::watch() const {
+  std::shared_ptr<net::Endpoint> endpoint;
+  std::uint64_t gen = 0;
+  {
+    LockGuard lock(mutex_);
+    if (epoll_fd_ < 0 || watched_gen_ == link_gen_) return;
+    endpoint = endpoint_;
+    gen = link_gen_;
+  }
+  // Outside the lock: an in-process endpoint makes its descriptor under
+  // its queue's own lock.
+  const int fd = endpoint->readable_fd();
   LockGuard lock(mutex_);
-  return endpoint_ ? endpoint_->readable_fd() : -1;
+  if (gen != link_gen_) return;  // the redial's own watch() takes the newer one
+  if (watched_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, watched_fd_, nullptr);
+  epoll_event event{EPOLLIN, {.fd = fd}};
+  if (fd >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
+  watched_fd_ = fd;
+  watched_gen_ = gen;
 }
 
 Status AttrClient::exit() {
-  LockGuard lock(mutex_);
-  if (exited_) return Status::ok();
-  exited_ = true;
-  if (!endpoint_ || !endpoint_->is_open()) return Status::ok();
-  Message request(MsgType::kAttrExit);
-  const std::uint64_t awaited = next_seq();
-  request.set_seq(awaited);
-  request.set(field::kContext, context_);
-  Status sent = endpoint_->send(std::move(request));
-  if (sent.is_ok()) {
-    // Await the ack (with a bound) so the server-side refcount is settled
-    // before we tear the connection down.
-    const Clock& wall = RealClock::instance();
-    const Micros deadline = wall.now_micros() + 2'000'000;
-    while (wall.now_micros() < deadline) {
-      auto received = endpoint_->receive(200);
-      if (!received.is_ok()) {
-        if (received.status().code() == ErrorCode::kTimeout) continue;
-        break;
-      }
-      Message reply;
-      if (route_message(std::move(received).value(), awaited, &reply)) break;
-    }
+  {
+    LockGuard lock(mutex_);
+    if (exited_) return Status::ok();
+    exited_ = true;  // no redial from here on
   }
-  endpoint_->close();
+  // Await the ack (with a bound) so the server-side refcount is settled
+  // before we tear the connection down.
+  auto seq = start(request(MsgType::kAttrExit));
+  if (seq.is_ok()) {
+    (void)run(seq.value(), RealClock::instance().now_micros() + 2'000'000);
+    forget(seq.value());
+  }
+  abandon();
   return Status::ok();
 }
 
 void AttrClient::abandon() {
-  LockGuard lock(mutex_);
-  exited_ = true;
-  if (endpoint_) endpoint_->close();
+  std::shared_ptr<net::Endpoint> endpoint;
+  {
+    LockGuard lock(mutex_);
+    exited_ = true;
+    endpoint = endpoint_;
+  }
+  if (endpoint) endpoint->close();
 }
 
 bool AttrClient::connected() const {
-  LockGuard lock(mutex_);
-  return endpoint_ && endpoint_->is_open() && !exited_;
+  std::shared_ptr<net::Endpoint> endpoint;
+  {
+    LockGuard lock(mutex_);
+    if (exited_ || link_ == Link::kDown) return false;
+    endpoint = endpoint_;
+  }
+  return endpoint->is_open();
 }
 
 }  // namespace tdp::attr

@@ -10,17 +10,18 @@
 //                                immediately ... the callback function will
 //                                be executed when the operation completes".
 //   * tdp_service_event       -> service_events(); callbacks are only ever
-//                                invoked from inside service_events() or a
-//                                blocking call on the caller's own thread —
-//                                never from signals or hidden threads, which
-//                                is exactly the paper's design rationale.
-//   * the "tdp_fd"            -> readable_fd(); activity on it tells a
-//                                poll-based daemon loop to call
-//                                service_events().
+//                                invoked from inside service_events() on the
+//                                caller's own thread — never from signals
+//                                or hidden threads, which is exactly the
+//                                paper's design rationale.
+//   * the "tdp_fd"            -> readable_fd(); readable exactly when
+//                                service_events() has work, so a poll-based
+//                                daemon loop never sleeps on queued events.
 //
 // Thread safety: all public methods are safe to call concurrently; the
 // paper requires the library to be usable from serial and multi-threaded
-// daemons alike.
+// daemons alike. Calls are entries in one table keyed by seq, and no lock
+// is held across a send or a receive: one thread at a time reads for all.
 #pragma once
 
 #include <atomic>
@@ -29,13 +30,19 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
+
+namespace tdp::telemetry {
+struct SpanContext;
+}  // namespace tdp::telemetry
 
 namespace tdp::attr {
 
@@ -53,12 +60,12 @@ using NotifyCallback = std::function<void(const std::string&, const std::string&
 /// With `enabled`:
 ///   * kConnectionError on any round trip redials the server (exponential
 ///     backoff with jitter, at most `max_reconnects` consecutive tries),
-///     re-runs the tdp_init handshake, re-registers every subscription and
-///     replays in-flight async operations;
-///   * a reply not arriving within `attempt_timeout_ms` replays the
-///     request with a fresh seq (recovers from a dropped frame). Replay is
-///     safe: puts overwrite idempotently and batches carry a batch id the
-///     server deduplicates on.
+///     re-runs the tdp_init handshake, then re-sends every outstanding
+///     call and subscription;
+///   * a reply not arriving within `attempt_timeout_ms` re-sends the
+///     request (recovers from a dropped frame). Both replay a request under
+///     its own seq. Replay is safe: puts overwrite idempotently, and the
+///     server deduplicates batches by batch id and subscribes by seq.
 /// Caller-supplied deadlines (e.g. get(timeout_ms)) still bound the whole
 /// operation; retry never extends them.
 struct RetryPolicy {
@@ -99,9 +106,11 @@ class AttrClient {
                                                      RetryPolicy retry = {});
 
   /// Adopts an already-established endpoint (used when the connection was
-  /// set up through the RM's proxy, Section 2.4).
+  /// set up through the RM's proxy, Section 2.4). With no dial string,
+  /// `retry` re-sends lost frames, the init's too, but never redials.
   static Result<std::unique_ptr<AttrClient>> adopt(
-      std::unique_ptr<net::Endpoint> endpoint, const std::string& context);
+      std::unique_ptr<net::Endpoint> endpoint, const std::string& context,
+      RetryPolicy retry = {});
 
   ~AttrClient();
 
@@ -120,8 +129,11 @@ class AttrClient {
   Status put_batch(const std::vector<std::pair<std::string, std::string>>& pairs);
 
   /// Blocking get: waits until the attribute is present (parked server
-  /// side), subject to `timeout_ms` (<0 = wait forever).
-  Result<std::string> get(const std::string& attribute, int timeout_ms = -1);
+  /// side), subject to `timeout_ms` (<0 = wait forever). `writer`, when
+  /// given, receives the trace context the value was written under; the
+  /// thread's ambient context is left as it was.
+  Result<std::string> get(const std::string& attribute, int timeout_ms = -1,
+                          telemetry::SpanContext* writer = nullptr);
 
   /// Non-waiting get: kNotFound when the attribute is absent.
   Result<std::string> try_get(const std::string& attribute);
@@ -135,8 +147,8 @@ class AttrClient {
   // --- asynchronous operations (Sections 3.2-3.3) ---
 
   /// Requests the attribute; returns immediately. The callback fires from
-  /// a later service_events() call (or is queued by an intervening blocking
-  /// call). Returns the descriptor to poll (the paper's "tdp_fd").
+  /// a later service_events() call. Returns the descriptor to poll (the
+  /// paper's "tdp_fd").
   Result<int> async_get(const std::string& attribute, CompletionCallback callback);
 
   /// Stores the attribute asynchronously; callback on acknowledgement.
@@ -152,15 +164,11 @@ class AttrClient {
   /// callbacks on the calling thread. Returns the number dispatched.
   int service_events();
 
-  /// Descriptor that polls readable when service_events() has work.
+  /// Descriptor that polls readable when service_events() has work; made
+  /// on the first call and stable across reconnects.
   [[nodiscard]] int readable_fd() const;
 
   // --- failure recovery ---
-
-  /// Installs (or replaces) the retry policy. Reconnection additionally
-  /// requires the client to have been built with connect() — an adopted
-  /// endpoint has no dial string, so only timeout replay applies there.
-  void set_retry_policy(RetryPolicy retry);
 
   /// Successful redial+rejoin cycles performed so far.
   [[nodiscard]] int reconnects() const noexcept {
@@ -186,71 +194,104 @@ class AttrClient {
   [[nodiscard]] bool connected() const;
 
  private:
-  AttrClient(std::unique_ptr<net::Endpoint> endpoint, std::string context);
+  /// One call, keyed by its seq. The init and the subscriptions stay for
+  /// the client's life: a redial re-sends them, and notifies route by seq.
+  struct Call {
+    net::Message request;         ///< re-sent unchanged, under its own seq
+    CompletionCallback on_reply;  ///< async calls: queued when the reply routes
+    NotifyCallback on_notify;     ///< subscriptions: queued per notify
+    std::optional<net::Message> reply;  ///< the answer its caller takes
+    Micros sent_at = 0;  ///< last send on the current link; 0 = not sent yet
+  };
 
-  Status perform_init();
+  /// kJoining: a new endpoint carries only the init until its reply.
+  /// kDown: the endpoint failed; the next reader redials if it may.
+  enum class Link { kUp, kJoining, kDown };
 
-  /// Sends a request and waits for the reply whose seq matches, routing
-  /// unrelated inbound messages (async completions, notifications) to the
-  /// pending queue for later dispatch. Applies the retry policy.
-  Result<net::Message> call(net::Message request, int timeout_ms)
-      TDP_EXCLUDES(mutex_);
-  Result<net::Message> call_locked(net::Message request, int timeout_ms)
+  /// A null `endpoint` is a link down from the start: the first read
+  /// redials `address` over `transport`, as for any dropped link.
+  AttrClient(std::unique_ptr<net::Endpoint> endpoint, std::string context,
+             RetryPolicy retry, net::Transport* transport = nullptr,
+             std::string address = {});
+
+  /// The tdp_init round trip; the init is the client's first call.
+  Status join();
+
+  /// A request of `type` in this client's context.
+  [[nodiscard]] net::Message request(net::MsgType type) const;
+
+  /// One synchronous request/reply, with the busy retry-after path.
+  Result<net::Message> call(net::Message message, int timeout_ms);
+
+  Result<int> async_call(net::Message message, CompletionCallback callback);
+
+  /// Registers a call under a fresh seq and sends it if the link is up;
+  /// fails at once when the link is down for good.
+  Result<std::uint64_t> start(net::Message message, CompletionCallback on_reply = nullptr,
+                              NotifyCallback on_notify = nullptr);
+
+  /// The one receive loop. Reads for every caller until entry `seq` has
+  /// its reply or `deadline` (<0: none) passes, redialing and re-sending
+  /// as the retry policy allows, then drains the endpoint if anyone polls.
+  /// seq 0 only drains, and returns at once if another thread reads.
+  Result<net::Message> run(std::uint64_t seq, Micros deadline);
+
+  /// Drops a finished (or abandoned) call from the table.
+  void forget(std::uint64_t seq);
+
+  /// Routes one inbound message to its entry: a reply completes it, a
+  /// notify or an async completion queues a callback.
+  void route(net::Message msg) TDP_REQUIRES(mutex_);
+
+  /// Sends `message` on `ep`; a failed send takes that link down.
+  bool transmit(const std::shared_ptr<net::Endpoint>& ep, const net::Message& message);
+  void fail_link_locked(const std::shared_ptr<net::Endpoint>& ep, Status why)
       TDP_REQUIRES(mutex_);
 
-  /// True when the policy allows redialing the server.
-  [[nodiscard]] bool can_reconnect_locked() const TDP_REQUIRES(mutex_);
+  /// True when the link is down and the policy allows another redial.
+  [[nodiscard]] bool can_redial_locked() const TDP_REQUIRES(mutex_);
 
-  /// Redials, re-runs tdp_init, re-registers subscriptions and replays
-  /// in-flight async requests. Backoff between attempts.
-  Status reconnect_locked() TDP_REQUIRES(mutex_);
-
-  /// The kAttrInit round trip on the current endpoint.
-  Status init_on_endpoint_locked() TDP_REQUIRES(mutex_);
-
-  /// Routes one inbound message; returns true if it was the awaited reply.
-  bool route_message(net::Message msg, std::uint64_t awaited_seq,
-                     net::Message* reply_out) TDP_REQUIRES(mutex_);
-
-  std::uint64_t next_seq() TDP_REQUIRES(mutex_);
+  /// Points the poll set at the current endpoint's descriptor, once the
+  /// set exists: after readable_fd() makes it and after every redial.
+  void watch() const;
 
   std::string context_;
+  const RetryPolicy retry_;
+  /// Dial info for redials; null/empty when built via adopt().
+  net::Transport* const transport_;
+  const std::string address_;
 
   std::atomic<int> reconnects_{0};
   std::atomic<int> replays_{0};
   std::uint64_t batch_nonce_ = 0;  ///< set once in the ctor, immutable after
+  CondVar reader_done_;  ///< a read turn ended, or the link changed
 
   mutable Mutex mutex_{"AttrClient::mutex_"};
-  // The request/reply state machine mutex_ serializes.
-  std::unique_ptr<net::Endpoint> endpoint_ TDP_GUARDED_BY(mutex_);
-  /// Dial info for reconnects; null/empty when built via adopt().
-  net::Transport* transport_ TDP_GUARDED_BY(mutex_) = nullptr;
-  std::string address_ TDP_GUARDED_BY(mutex_);
-  RetryPolicy retry_ TDP_GUARDED_BY(mutex_);
+  std::shared_ptr<net::Endpoint> endpoint_ TDP_GUARDED_BY(mutex_);
+  Link link_ TDP_GUARDED_BY(mutex_);
+  Status link_error_ TDP_GUARDED_BY(mutex_) =  ///< why the link went down
+      make_error(ErrorCode::kConnectionError, "not connected");
+  std::uint64_t link_gen_ TDP_GUARDED_BY(mutex_) = 1;  ///< +1 per redialed endpoint
+  Micros join_deadline_ TDP_GUARDED_BY(mutex_);  ///< kJoining gives up here
+  bool rejoining_ TDP_GUARDED_BY(mutex_) = false;  ///< redialed, not yet re-sent
+  int redials_ TDP_GUARDED_BY(mutex_) = 0;  ///< since the link last carried traffic
+  bool reading_ TDP_GUARDED_BY(mutex_) = false;  ///< some thread is in a read turn
+  bool exited_ TDP_GUARDED_BY(mutex_) = false;
   /// Jitter source for reconnect backoff; reseeded per client.
   Rng backoff_rng_ TDP_GUARDED_BY(mutex_){0x7d9fau};
   std::uint64_t batch_counter_ TDP_GUARDED_BY(mutex_) = 0;
   std::uint64_t seq_ TDP_GUARDED_BY(mutex_) = 0;
-
-  struct PendingAsync {
-    net::MsgType type = net::MsgType::kInvalid;  ///< for replay after reconnect
-    std::string attribute;
-    std::string value;  ///< puts only
-    CompletionCallback callback;
-  };
-  std::map<std::uint64_t, PendingAsync> pending_async_ TDP_GUARDED_BY(mutex_);
-
-  struct Subscription {
-    std::uint64_t seq = 0;  ///< seq of the subscribe request, echoed in notifies
-    std::string pattern;    ///< kept so reconnect can re-register
-    NotifyCallback callback;
-  };
-  std::vector<Subscription> subscriptions_ TDP_GUARDED_BY(mutex_);
-
+  std::map<std::uint64_t, Call> pending_ TDP_GUARDED_BY(mutex_);
   /// Callbacks ready to run at the next service_events().
-  std::deque<std::function<void()>> ready_callbacks_ TDP_GUARDED_BY(mutex_);
-
-  bool exited_ TDP_GUARDED_BY(mutex_) = false;
+  std::deque<std::function<void()>> ready_ TDP_GUARDED_BY(mutex_);
+  /// The poll set behind readable_fd() (-1 until first asked for): the
+  /// endpoint's descriptor plus an eventfd that counts 1 while `ready_`
+  /// holds callbacks a blocking call queued.
+  mutable int epoll_fd_ TDP_GUARDED_BY(mutex_) = -1;
+  mutable int event_fd_ TDP_GUARDED_BY(mutex_) = -1;
+  mutable bool ready_signalled_ TDP_GUARDED_BY(mutex_) = false;
+  mutable int watched_fd_ TDP_GUARDED_BY(mutex_) = -1;
+  mutable std::uint64_t watched_gen_ TDP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace tdp::attr

@@ -51,8 +51,9 @@ bool is_indexed_key(std::string_view key, std::string_view prefix,
 /// The owner's side of connect_local(). A send dispatches the request on
 /// the calling thread; the server answers into the server half of an
 /// in-process pair, whose client half `replies_` this endpoint receives
-/// from. It holds no lock of its own across the dispatch, because its
-/// calls never overlap (see connect_local).
+/// from. Sends are serialized, as TcpEndpoint's are: the dispatch works on
+/// per-connection state (the view, the connection's contexts and
+/// watchers), and a client may send from several threads at once.
 class AttrServer::OwnerEndpoint final : public net::Endpoint {
  public:
   OwnerEndpoint(AttrServer& server, std::shared_ptr<Connection> conn,
@@ -66,11 +67,13 @@ class AttrServer::OwnerEndpoint final : public net::Endpoint {
   Status send(const Message& msg) override { return send(Message(msg)); }
 
   Status send(Message&& msg) override {
+    LockGuard lock(send_mutex_);
     if (!replies_->is_open()) {
       return make_error(ErrorCode::kConnectionError, "owner endpoint closed");
     }
-    conn_->view.adopt(std::move(msg));
-    server_.handle_message(conn_->view, *conn_);
+    MessageView& view = conn_->view;
+    view.adopt(std::move(msg));
+    server_.handle_message(view, *conn_);
     return Status::ok();
   }
 
@@ -83,8 +86,10 @@ class AttrServer::OwnerEndpoint final : public net::Endpoint {
   [[nodiscard]] bool is_open() const override { return replies_->is_open(); }
 
   /// Once the server has torn the connection down (stop()) the reply
-  /// channel is closed, so this never touches a stopped server.
+  /// channel is closed, so this never touches a stopped server. Waits out
+  /// a send in flight, which works on the connection this tears down.
   void close() override {
+    LockGuard lock(send_mutex_);
     if (replies_->is_open()) server_.close_owner(conn_);
   }
 
@@ -96,6 +101,7 @@ class AttrServer::OwnerEndpoint final : public net::Endpoint {
   AttrServer& server_;
   std::shared_ptr<Connection> conn_;
   std::unique_ptr<net::Endpoint> replies_;
+  Mutex send_mutex_{"OwnerEndpoint::send_mutex_"};
 };
 
 AttrServer::AttrServer(std::string name, std::shared_ptr<net::Transport> transport)

@@ -71,9 +71,9 @@ class AttrServer {
   /// Closing it (or stop()) is an implicit tdp_exit, and a send after that
   /// fails with kConnectionError.
   ///
-  /// Calls on the endpoint must not overlap (AttrClient serializes its
-  /// own), and stop() must not race one in flight. A put sent here fires
-  /// store callbacks on the sending thread.
+  /// Sends on the endpoint are serialized by its own lock, so several
+  /// threads may share it; stop() must not race one in flight. A put sent
+  /// here fires store callbacks on the sending thread, under that lock.
   std::unique_ptr<net::Endpoint> connect_local();
 
   [[nodiscard]] std::string address() const { return address_; }

@@ -198,7 +198,7 @@ Status Starter::start_lass() {
     // thread-safe, so observing straight from the I/O thread is fine.
     // A store callback on this LASS may also fire on the starter's own
     // thread, inside one of its RM calls (a put over the owner endpoint,
-    // with the session's client lock held), so it must never call back
+    // with that endpoint's send lock held), so it must never call back
     // into the RM session.
     lass_->store().subscribe(
         context_, std::string(lease::kLivenessPrefix) + "paradynd.*",
@@ -604,9 +604,9 @@ bool Starter::pump() {
   telemetry::ScopedAmbient ambient(telemetry::parse_context(job_.trace));
   const bool finished = turn();
   // Serve until quiet. A tool request that arrives while this turn's own
-  // RM calls wait for their replies is queued behind a descriptor that no
-  // longer reads as ready, so it is served here rather than on the next
-  // tick.
+  // RM calls wait for their replies is queued for service_events(); the
+  // session's event_fd reads ready for it, and serving it here saves the
+  // caller a poll round before the next tick.
   while (!finished && session_->service_events() > 0) {
   }
   return finished;

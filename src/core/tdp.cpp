@@ -102,10 +102,10 @@ Result<std::unique_ptr<TdpSession>> TdpSession::adopt(
 
 Status TdpSession::connect_spaces(std::unique_ptr<net::Endpoint> lass_endpoint) {
   if (lass_endpoint) {
-    auto lass = attr::AttrClient::adopt(std::move(lass_endpoint), context_);
+    auto lass = attr::AttrClient::adopt(std::move(lass_endpoint), context_,
+                                        options_.retry);
     if (!lass.is_ok()) return lass.status();
     lass_ = std::move(lass).value();
-    lass_->set_retry_policy(options_.retry);
   } else {
     auto lass = attr::AttrClient::connect(*options_.transport, options_.lass_address,
                                           context_, options_.retry);
@@ -119,13 +119,12 @@ Status TdpSession::connect_spaces(std::unique_ptr<net::Endpoint> lass_endpoint) 
     auto endpoint = net::connect_direct_or_proxied(
         *options_.transport, options_.cass_address, options_.proxy_address, "cass");
     if (!endpoint.is_ok()) return endpoint.status();
-    auto cass = attr::AttrClient::adopt(std::move(endpoint).value(),
-                                        options_.cass_context);
-    if (!cass.is_ok()) return cass.status();
-    cass_ = std::move(cass).value();
     // Timeout replay applies; redial does not (adopted endpoints keep no
     // dial string — the proxied route may not even be redialable).
-    cass_->set_retry_policy(options_.retry);
+    auto cass = attr::AttrClient::adopt(std::move(endpoint).value(),
+                                        options_.cass_context, options_.retry);
+    if (!cass.is_ok()) return cass.status();
+    cass_ = std::move(cass).value();
   }
 
   if (role_ == Role::kResourceManager) {
@@ -275,8 +274,9 @@ Status TdpSession::put_batch(
   return lass_->put_batch(pairs);
 }
 
-Result<std::string> TdpSession::get(const std::string& attribute, int timeout_ms) {
-  return lass_->get(attribute, timeout_ms);
+Result<std::string> TdpSession::get(const std::string& attribute, int timeout_ms,
+                                    telemetry::SpanContext* writer) {
+  return lass_->get(attribute, timeout_ms, writer);
 }
 
 Result<std::string> TdpSession::try_get(const std::string& attribute) {

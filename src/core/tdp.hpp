@@ -157,7 +157,10 @@ class TdpSession {
   Status put_batch(const std::vector<std::pair<std::string, std::string>>& pairs);
 
   /// tdp_get, blocking form: waits until the attribute is present.
-  Result<std::string> get(const std::string& attribute, int timeout_ms = -1);
+  /// `writer`, when given, receives the trace context the value was
+  /// written under; the thread's ambient context is left as it was.
+  Result<std::string> get(const std::string& attribute, int timeout_ms = -1,
+                          telemetry::SpanContext* writer = nullptr);
 
   /// tdp_get, documented error form: kNotFound when absent.
   Result<std::string> try_get(const std::string& attribute);

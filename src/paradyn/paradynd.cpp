@@ -37,12 +37,15 @@ Status Paradynd::start() {
   if (!session.is_ok()) return session.status();
   session_ = std::move(session).value();
 
-  TDP_RETURN_IF_ERROR(discover_application());
+  telemetry::SpanContext pid_writer;
+  TDP_RETURN_IF_ERROR(discover_application(&pid_writer));
 
-  // The blocking get("pid") above adopted the WRITER's trace context (the
-  // starter's app.create span) as this thread's ambient, so the attach leg
-  // joins the same causal tree as the submit that launched the job - the
-  // Figure 6 handoff, observable as one connected trace.
+  // The attach leg runs under the pid WRITER's trace context (the starter's
+  // app.create span), so it joins the same causal tree as the submit that
+  // launched the job - the Figure 6 handoff, observable as one connected
+  // trace. The thread's own context comes back when start() returns.
+  const telemetry::ScopedAmbient handoff(
+      pid_writer.valid() ? pid_writer : telemetry::ambient_context());
   std::optional<telemetry::Span> span;
   if (telemetry::current_context().valid()) {
     span.emplace("paradynd.attach", "paradynd");
@@ -103,7 +106,7 @@ Status Paradynd::start() {
   return Status::ok();
 }
 
-Status Paradynd::discover_application() {
+Status Paradynd::discover_application(telemetry::SpanContext* writer) {
   if (config_.attach_pid != 0) {
     // Attach mode (Figure 3B): pid was supplied by the user/front-end.
     app_pid_ = config_.attach_pid;
@@ -111,7 +114,7 @@ Status Paradynd::discover_application() {
     // Create mode: "paradynd is blocked until the starter stores in the
     // LASS the corresponding application pid using tdp_put."
     auto pid_value =
-        session_->get(config_.pid_attribute, config_.pid_wait_timeout_ms);
+        session_->get(config_.pid_attribute, config_.pid_wait_timeout_ms, writer);
     if (!pid_value.is_ok()) return pid_value.status();
     if (!str::is_integer(pid_value.value())) {
       return make_error(ErrorCode::kInternal,

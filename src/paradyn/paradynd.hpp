@@ -130,7 +130,9 @@ class Paradynd {
   }
 
  private:
-  Status discover_application();
+  /// Learns the application pid; `writer` receives the trace context the
+  /// starter published it under (left invalid in attach mode).
+  Status discover_application(telemetry::SpanContext* writer);
   Status initialize_inferior();
   Status connect_frontend();
   void handle_frontend_command(const net::Message& command);

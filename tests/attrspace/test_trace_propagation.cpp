@@ -116,19 +116,23 @@ TEST_P(TracePropagation, WriterSpanReachesReaderThroughTheStore) {
     ASSERT_TRUE(writer->put("pid", "31337").is_ok());
   }
 
-  // Reader thread state starts traceless; the get reply must seed it.
+  // Reader thread state starts traceless; the get reply names the writer
+  // and leaves the thread's own context alone.
   ASSERT_FALSE(telemetry::ambient_context().valid());
-  auto value = reader->get("pid", 20'000);
+  telemetry::SpanContext adopted;
+  auto value = reader->get("pid", 20'000, &adopted);
   ASSERT_TRUE(value.is_ok()) << value.status().to_string();
   EXPECT_EQ(value.value(), "31337");
 
-  const telemetry::SpanContext adopted = telemetry::ambient_context();
   ASSERT_TRUE(adopted.valid()) << "reply did not carry the writer's trace";
   EXPECT_EQ(adopted.trace_id, writer_ctx.trace_id);
   EXPECT_EQ(adopted.span_id, writer_ctx.span_id);
+  EXPECT_FALSE(telemetry::ambient_context().valid())
+      << "the get leaked the writer's context into the caller's thread";
 
   // The reader's follow-up work (paradynd: attach) joins the writer's tree.
   {
+    telemetry::ScopedAmbient handoff(adopted);
     telemetry::Span attach("reader.attach", "rt");
     EXPECT_EQ(attach.context().trace_id, writer_ctx.trace_id);
   }
@@ -155,13 +159,15 @@ TEST_P(TracePropagation, BlockingGetAdoptsTheEventualWriter) {
   auto reader = make_client();
 
   // Reader parks first (paradynd blocking in get("pid")); the reply is
-  // produced by the put path and must still carry the writer's header.
+  // produced by the put path and must still carry the writer's header,
+  // handed to the caller without touching its thread's ambient context.
   telemetry::SpanContext adopted;
+  telemetry::SpanContext ambient_after;
   std::atomic<bool> got{false};
   std::thread tool([&] {
-    auto result = reader->get("handshake", 20'000);
+    auto result = reader->get("handshake", 20'000, &adopted);
     if (result.is_ok()) {
-      adopted = telemetry::ambient_context();  // thread-local to this thread
+      ambient_after = telemetry::ambient_context();  // thread-local to this thread
       got.store(true);
     }
   });
@@ -177,6 +183,7 @@ TEST_P(TracePropagation, BlockingGetAdoptsTheEventualWriter) {
   ASSERT_TRUE(got.load());
   EXPECT_EQ(adopted.trace_id, writer_ctx.trace_id);
   EXPECT_EQ(adopted.span_id, writer_ctx.span_id);
+  EXPECT_FALSE(ambient_after.valid());
 }
 
 TEST_P(TracePropagation, UntracedTrafficStaysSpanFree) {
