@@ -129,11 +129,13 @@ run_tsan() {
   # The Paradyn thread model: the front-end's one I/O thread serving every
   # daemon while commands go out from the caller's thread, the launchers
   # joining returned daemons while launching new ones, and the in-process
-  # queues' level descriptor under concurrent push, pop and close.
+  # queues' level descriptor under concurrent push, pop and close. The
+  # Proxy* and Reactor* cases put the proxy's one I/O thread against its
+  # clients, its targets and stop(), and wake a reactor from another thread.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_paradyn_tests
   TSAN_OPTIONS="halt_on_error=1" \
-    ./build-tsan/tests/tdp_net_tests --gtest_filter='InProc*'
+    ./build-tsan/tests/tdp_net_tests --gtest_filter='InProc*:Proxy*:Reactor*'
 }
 
 run_asan() {

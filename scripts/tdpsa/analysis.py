@@ -145,6 +145,9 @@ def resolve_callees(p: Program) -> dict[int, list[list[FunctionModel]]]:
                     pool = p.by_name.get(cs.name, [])
                     if 0 < len(pool) <= NAME_UNION_CAP:
                         cands = list(pool)
+            elif cs.receiver is None and \
+                    cs.name in getattr(fn, "local_callables", ()):
+                pass  # a local lambda, never a method or free function
             else:
                 # Unqualified / this-> call: same class first, then free
                 # functions, then the capped name union.

@@ -510,6 +510,7 @@ class FileWalker:
         toks = self.toks
         n = len(toks)
         fn.locals = {}                    # type: ignore[attr-defined]
+        fn.local_callables = set()        # type: ignore[attr-defined]
         fn.abstract_events = []           # type: ignore[attr-defined]
         guards: list[dict] = []
         assumed: list[str] = []           # abstract exprs assumed held
@@ -545,7 +546,10 @@ class FileWalker:
                 j += 1  # subscript; walk through it
                 continue
             if txt == "[":
-                # Lambda intro: [..](..) specifiers { body }
+                # Lambda intro: [..](..) specifiers { body }. Bound as
+                # `name = [..]`, a later `name(...)` calls this lambda.
+                if prev == "=" and j >= 2 and toks[j - 2].kind == "id":
+                    fn.local_callables.add(toks[j - 2].text)
                 e = self.match_group(j, "[", "]")
                 k = e
                 if k < n and toks[k].text == "(":

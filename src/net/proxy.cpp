@@ -1,8 +1,5 @@
 #include "net/proxy.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 
@@ -11,8 +8,16 @@ namespace tdp::net {
 namespace {
 const log::Logger kLog("proxy");
 
-// Frames relayed in either direction, across all tunnels. The pumps move
-// raw frames (send_frame/receive_frame) without decoding, so frames pass
+/// How long an accepted connection may take to send its kProxyConnect.
+constexpr int kHelloTimeoutMs = 5000;
+
+/// The deadline `ms` milliseconds from now.
+Micros after_ms(int ms) {
+  return RealClock::instance().now_micros() + Micros{ms} * 1000;
+}
+
+// Frames relayed in either direction, across all tunnels. The relay moves
+// raw frames (send_frame/receive_frames) without decoding, so frames pass
 // through byte-identical and the relay never pays a field-table parse.
 telemetry::Counter& relayed_counter() {
   static telemetry::Counter& c =
@@ -55,29 +60,26 @@ Result<std::string> ProxyServer::start(const std::string& listen_address) {
   listener_ = std::move(listener).value();
   address_ = listener_->address();
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  reactor_.add_readable(listener_->readable_fd(), [this] { on_acceptable(); });
+  io_thread_ = std::thread([this] {
+    while (running_.load(std::memory_order_acquire)) {
+      reactor_.run_once(poll_timeout_ms());
+      run_due();
+    }
+  });
   kLog.info("proxy listening on ", address_);
   return address_;
 }
 
 void ProxyServer::stop() {
   running_.store(false, std::memory_order_release);
-  if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Sever every live tunnel so detached pump threads wind down, then wait
-  // for the count to drain. The registry is swapped out under the lock but
-  // the endpoints are closed outside it: close() can cascade into socket
-  // shutdown / signal-pipe writes, and pump threads contend on mutex_.
-  std::vector<std::weak_ptr<Endpoint>> doomed;
-  {
-    LockGuard lock(mutex_);
-    doomed.swap(live_endpoints_);
-  }
-  for (auto& weak : doomed) {
-    if (auto endpoint = weak.lock()) endpoint->close();
-  }
-  while (active_threads_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  reactor_.stop();  // wakes the blocked poll so the I/O thread observes running_
+  if (io_thread_.joinable()) io_thread_.join();
+  // The I/O thread has exited, so its tunnels are this thread's to sever.
+  while (!tunnels_.empty()) close_tunnel(tunnels_.begin()->first);
+  if (listener_) {
+    reactor_.remove(listener_->readable_fd());
+    listener_->close();
   }
 }
 
@@ -86,7 +88,7 @@ std::string ProxyServer::address() const {
 }
 
 std::size_t ProxyServer::tunnels_opened() const {
-  return tunnels_.load(std::memory_order_relaxed);
+  return opened_.load(std::memory_order_relaxed);
 }
 
 void ProxyServer::set_relink_policy(RelinkPolicy policy) {
@@ -94,238 +96,195 @@ void ProxyServer::set_relink_policy(RelinkPolicy policy) {
   relink_ = policy;
 }
 
-void ProxyServer::accept_loop() {
+void ProxyServer::on_acceptable() {
   while (running_.load(std::memory_order_acquire)) {
-    auto accepted = listener_->accept(200);
-    if (!accepted.is_ok()) {
-      if (accepted.status().code() == ErrorCode::kTimeout) continue;
-      break;  // listener closed or failed
+    auto accepted = listener_->accept(0);
+    if (!accepted.is_ok()) break;  // kTimeout: queue drained
+    std::unique_ptr<Endpoint> client = std::move(accepted).value();
+    const int fd = client->readable_fd();
+    if (fd < 0) {
+      client->close();
+      continue;
     }
-    std::shared_ptr<Endpoint> shared(std::move(accepted).value().release());
-    bool rejected = false;
-    {
-      LockGuard lock(mutex_);
-      if (!running_.load(std::memory_order_acquire)) {
-        rejected = true;  // closed below, outside the registry lock
-      } else {
-        // Prune dead entries so the registry stays proportional to LIVE
-        // tunnels, not historical ones.
-        live_endpoints_.erase(
-            std::remove_if(live_endpoints_.begin(), live_endpoints_.end(),
-                           [](const std::weak_ptr<Endpoint>& weak) {
-                             return weak.expired();
-                           }),
-            live_endpoints_.end());
-        live_endpoints_.push_back(shared);
-      }
-    }
-    if (rejected) {
-      shared->close();
-      break;
-    }
-    active_threads_.fetch_add(1, std::memory_order_acq_rel);
-    std::thread([this, shared]() mutable {
-      handle_connection_shared(std::move(shared));
-      active_threads_.fetch_sub(1, std::memory_order_acq_rel);
-    }).detach();
+    Tunnel& tunnel = tunnels_[fd];
+    tunnel.client = std::move(client);
+    set_due(fd, tunnel, after_ms(kHelloTimeoutMs));
+    reactor_.add_readable(fd, [this, fd] { on_hello(fd); });
   }
 }
 
-void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
-  auto hello = client->receive(5000);
+void ProxyServer::on_hello(int fd) {
+  auto it = tunnels_.find(fd);
+  if (it == tunnels_.end()) return;
+  Tunnel& tunnel = it->second;
+  auto hello = tunnel.client->receive(0);
+  if (hello.status().code() == ErrorCode::kTimeout) return;  // not all in yet
   if (!hello.is_ok() || hello->type() != MsgType::kProxyConnect) {
-    client->close();
+    close_tunnel(fd);
     return;
   }
+  set_due(fd, tunnel, 0);
   const std::string service = hello->get("service");
   std::string target;
   {
     LockGuard lock(mutex_);
-    auto it = services_.find(service);
-    if (it != services_.end()) target = it->second;
+    auto found = services_.find(service);
+    if (found != services_.end()) target = found->second;
+    tunnel.relinks_left = relink_.enabled ? relink_.max_relinks : 0;
   }
   Message reply(MsgType::kProxyConnectReply);
-  if (target.empty()) {
-    reply.set("status", "error").set("error", "unknown service: " + service);
-    client->send(reply);
-    client->close();
-    return;
-  }
-  auto dialed = transport_->connect(target);
+  auto dialed = target.empty()
+                    ? Result<std::unique_ptr<Endpoint>>(make_error(
+                          ErrorCode::kNotFound, "unknown service: " + service))
+                    : transport_->connect(target);
   if (!dialed.is_ok()) {
     reply.set("status", "error").set("error", dialed.status().to_string());
-    client->send(reply);
-    client->close();
+    tunnel.client->send(reply);
+    close_tunnel(fd);
     return;
   }
-  std::shared_ptr<Endpoint> upstream(std::move(dialed).value().release());
+  tunnel.upstream = std::move(dialed).value();
+  tunnel.target = target;
   reply.set("status", "ok");
   // Count the tunnel before the client can see it open: a client that
   // reads tunnels_opened() right after the ok reply must find it counted.
-  tunnels_.fetch_add(1, std::memory_order_relaxed);
-  if (!client->send(reply).is_ok()) {
-    tunnels_.fetch_sub(1, std::memory_order_relaxed);
-    client->close();
-    upstream->close();
+  opened_.fetch_add(1, std::memory_order_relaxed);
+  if (!tunnel.client->send(reply).is_ok()) {
+    opened_.fetch_sub(1, std::memory_order_relaxed);
+    close_tunnel(fd);
     return;
   }
   kLog.debug("tunnel opened: service=", service, " target=", target);
   if (recorder_) {
     recorder_->state("tunnel-open", "service=" + service + " target=" + target);
   }
-  auto tunnel = std::make_shared<Tunnel>();
-  tunnel->client = client;
-  tunnel->target = target;
-  int relink_budget = 0;
-  bool stopped = false;
-  {
-    LockGuard lock(mutex_);
-    if (!running_.load(std::memory_order_acquire)) {
-      // stop() already swept the registry; do not start a tunnel it can
-      // no longer sever. Closes happen below, outside the registry lock.
-      stopped = true;
-    } else {
-      relink_budget = relink_.enabled ? relink_.max_relinks : 0;
-      live_endpoints_.push_back(upstream);
-    }
-  }
-  if (stopped) {
-    client->close();
-    upstream->close();
+  reactor_.add_readable(tunnel.upstream->readable_fd(), [this, fd] { on_upstream(fd); });
+  reactor_.add_readable(fd, [this, fd] { on_client(fd); });
+  // The hello's read may have pulled frames sent right behind it into the
+  // endpoint's own buffer, where no poll sees them: relay them now.
+  on_client(fd);
+}
+
+void ProxyServer::on_client(int fd) {
+  auto it = tunnels_.find(fd);
+  if (it == tunnels_.end()) return;
+  Tunnel& tunnel = it->second;
+  // One call per wake-up: it hands over every complete frame the endpoint
+  // holds, and the reactor calls again while the socket stays readable.
+  const Status received = tunnel.client->receive_frames(0, &burst_);
+  if (received.code() == ErrorCode::kTimeout) return;
+  if (!received.is_ok()) {
+    close_tunnel(fd);  // client gone: the tunnel is over
     return;
   }
-  {
-    // Deliberately outside mutex_: the tunnel lock orders before the
-    // registry lock (see the Tunnel comment in the header).
-    LockGuard tlock(tunnel->mu);
-    tunnel->upstream = upstream;
-    tunnel->relinks_left = relink_budget;
+  if (tunnel.upstream->send_frame(burst_.data(), burst_.size()).is_ok()) {
+    relayed_counter().add(count_frames(burst_.data(), burst_.size()));
+    return;
   }
-  // Reverse direction pumped on its own (detached, counted) thread;
-  // forward direction pumped on this connection's thread. Both endpoints
-  // stay alive through the captured shared_ptrs.
-  active_threads_.fetch_add(1, std::memory_order_acq_rel);
-  std::thread([this, tunnel] {
-    pump_upstream_to_client(tunnel);
-    active_threads_.fetch_sub(1, std::memory_order_acq_rel);
-  }).detach();
-  pump_client_to_upstream(tunnel);
+  tunnel.unsent.swap(burst_);  // the fresh link gets this burst first
+  upstream_lost(fd, tunnel);
 }
 
-bool ProxyServer::relink(Tunnel& tunnel, std::uint64_t seen_generation) {
-  // Held across the redial (backoff included): with the upstream dead no
-  // traffic can flow anyway, and the lock makes the two pumps agree on a
-  // single replacement instead of racing to dial twice.
-  LockGuard lock(tunnel.mu);
-  if (tunnel.generation != seen_generation) return tunnel.upstream != nullptr;
-  if (tunnel.upstream) tunnel.upstream->close();
-  if (!tunnel.client->is_open()) {  // nobody left to relay for
-    tunnel.upstream.reset();
-    return false;
+void ProxyServer::on_upstream(int fd) {
+  auto it = tunnels_.find(fd);
+  if (it == tunnels_.end()) return;
+  Tunnel& tunnel = it->second;
+  const Status received = tunnel.upstream->receive_frames(0, &burst_);
+  if (received.code() == ErrorCode::kTimeout) return;
+  if (!received.is_ok()) {
+    upstream_lost(fd, tunnel);
+    return;
   }
-  int backoff;
-  {
-    LockGuard plock(mutex_);
-    backoff = relink_.backoff_ms;
+  if (!tunnel.client->send_frame(burst_.data(), burst_.size()).is_ok()) {
+    close_tunnel(fd);
+    return;
   }
-  while (tunnel.relinks_left > 0 && running_.load(std::memory_order_acquire)) {
-    --tunnel.relinks_left;
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff *= 2;
-    }
-    auto dialed = transport_->connect(tunnel.target);
-    if (!dialed.is_ok()) continue;
-    std::shared_ptr<Endpoint> fresh(std::move(dialed).value().release());
-    bool stopped = false;
-    {
-      LockGuard plock(mutex_);
-      if (!running_.load(std::memory_order_acquire)) {
-        stopped = true;  // closed below, outside the registry lock
-      } else {
-        live_endpoints_.push_back(fresh);
-      }
-    }
-    if (stopped) {
-      fresh->close();
-      break;
-    }
-    tunnel.upstream = std::move(fresh);
-    ++tunnel.generation;
-    relinks_.fetch_add(1, std::memory_order_relaxed);
-    kLog.info("tunnel upstream relinked: target=", tunnel.target,
-              " generation=", tunnel.generation);
-    if (recorder_) {
-      recorder_->state("relink", "target=" + tunnel.target + " generation=" +
-                                     std::to_string(tunnel.generation));
-    }
-    return true;
-  }
+  relayed_counter().add(count_frames(burst_.data(), burst_.size()));
+}
+
+void ProxyServer::upstream_lost(int fd, Tunnel& tunnel) {
+  reactor_.remove(tunnel.upstream->readable_fd());
   tunnel.upstream.reset();
-  return false;
+  if (tunnel.relinks_left <= 0 || !tunnel.client->is_open()) {
+    close_tunnel(fd);
+    return;
+  }
+  // Stop reading the client until the redial lands: its bytes wait in its
+  // socket, so the relink holds no buffer beyond the one unsent burst.
+  reactor_.remove(fd);
+  {
+    LockGuard lock(mutex_);
+    tunnel.backoff_ms = relink_.backoff_ms;
+  }
+  set_due(fd, tunnel, after_ms(tunnel.backoff_ms));
 }
 
-void ProxyServer::pump_client_to_upstream(const std::shared_ptr<Tunnel>& tunnel) {
-  // One warm burst buffer per pump thread: steady state relays with zero
-  // allocation, zero decode, and one write per pipelined burst.
-  std::vector<std::uint8_t> frame;
-  while (running_.load(std::memory_order_acquire)) {
-    // Bounded receive so stop() is honored; receive_frames(-1) here would
-    // wedge the thread forever on an idle-but-open client.
-    auto received = tunnel->client->receive_frames(200, &frame);
-    if (!received.is_ok()) {
-      if (received.code() == ErrorCode::kTimeout) continue;
-      break;  // client gone: the tunnel is over
+void ProxyServer::redial(int fd, Tunnel& tunnel) {
+  --tunnel.relinks_left;
+  auto dialed = transport_->connect(tunnel.target);
+  if (!dialed.is_ok()) {
+    if (tunnel.relinks_left <= 0) {
+      close_tunnel(fd);
+      return;
     }
-    bool forwarded = false;
-    while (running_.load(std::memory_order_acquire)) {
-      std::shared_ptr<Endpoint> up;
-      std::uint64_t generation;
-      {
-        LockGuard lock(tunnel->mu);
-        up = tunnel->upstream;
-        generation = tunnel->generation;
-      }
-      if (!up) break;
-      // The buffered burst survives a relink, so the redial path re-sends
-      // the same bytes on the fresh upstream.
-      if (up->send_frame(frame.data(), frame.size()).is_ok()) {
-        forwarded = true;
-        relayed_counter().add(count_frames(frame.data(), frame.size()));
-        break;
-      }
-      if (!relink(*tunnel, generation)) break;  // retry send on the new link
-    }
-    if (!forwarded) break;
+    tunnel.backoff_ms *= 2;
+    set_due(fd, tunnel, after_ms(tunnel.backoff_ms));
+    return;
   }
-  tunnel->client->close();
-  LockGuard lock(tunnel->mu);
-  if (tunnel->upstream) tunnel->upstream->close();
+  tunnel.upstream = std::move(dialed).value();
+  relinks_.fetch_add(1, std::memory_order_relaxed);
+  kLog.info("tunnel upstream relinked: target=", tunnel.target,
+            " relinks_left=", tunnel.relinks_left);
+  if (recorder_) {
+    recorder_->state("relink", "target=" + tunnel.target + " relinks_left=" +
+                                   std::to_string(tunnel.relinks_left));
+  }
+  reactor_.add_readable(tunnel.upstream->readable_fd(), [this, fd] { on_upstream(fd); });
+  if (!tunnel.unsent.empty()) {
+    if (!tunnel.upstream->send_frame(tunnel.unsent.data(), tunnel.unsent.size()).is_ok()) {
+      upstream_lost(fd, tunnel);
+      return;
+    }
+    relayed_counter().add(count_frames(tunnel.unsent.data(), tunnel.unsent.size()));
+    tunnel.unsent.clear();
+  }
+  reactor_.add_readable(fd, [this, fd] { on_client(fd); });
 }
 
-void ProxyServer::pump_upstream_to_client(const std::shared_ptr<Tunnel>& tunnel) {
-  std::vector<std::uint8_t> frame;
-  while (running_.load(std::memory_order_acquire)) {
-    std::shared_ptr<Endpoint> up;
-    std::uint64_t generation;
-    {
-      LockGuard lock(tunnel->mu);
-      up = tunnel->upstream;
-      generation = tunnel->generation;
+void ProxyServer::close_tunnel(int fd) {
+  auto it = tunnels_.find(fd);
+  if (it == tunnels_.end()) return;
+  Tunnel& tunnel = it->second;
+  set_due(fd, tunnel, 0);
+  reactor_.remove(fd);
+  if (tunnel.upstream) reactor_.remove(tunnel.upstream->readable_fd());
+  tunnels_.erase(it);  // destroying an endpoint closes it
+}
+
+void ProxyServer::set_due(int fd, Tunnel& tunnel, Micros due) {
+  if (tunnel.due != 0) timers_.erase({tunnel.due, fd});
+  tunnel.due = due;
+  if (due != 0) timers_.emplace(due, fd);
+}
+
+int ProxyServer::poll_timeout_ms() const {
+  if (timers_.empty()) return -1;
+  const Micros wait = timers_.begin()->first - RealClock::instance().now_micros();
+  return wait > 0 ? static_cast<int>((wait + 999) / 1000) : 0;
+}
+
+void ProxyServer::run_due() {
+  while (!timers_.empty() &&
+         timers_.begin()->first <= RealClock::instance().now_micros()) {
+    const int fd = timers_.begin()->second;
+    Tunnel& tunnel = tunnels_.at(fd);
+    set_due(fd, tunnel, 0);
+    if (tunnel.target.empty()) {
+      close_tunnel(fd);  // the hello deadline passed
+    } else {
+      redial(fd, tunnel);
     }
-    if (!up) break;
-    auto received = up->receive_frames(200, &frame);
-    if (!received.is_ok()) {
-      if (received.code() == ErrorCode::kTimeout) continue;
-      if (relink(*tunnel, generation)) continue;
-      break;
-    }
-    if (!tunnel->client->send_frame(frame.data(), frame.size()).is_ok()) break;
-    relayed_counter().add(count_frames(frame.data(), frame.size()));
   }
-  tunnel->client->close();
-  LockGuard lock(tunnel->mu);
-  if (tunnel->upstream) tunnel->upstream->close();
 }
 
 Result<std::unique_ptr<Endpoint>> proxy_connect(Transport& transport,

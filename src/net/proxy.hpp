@@ -22,11 +22,15 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "net/reactor.hpp"
 #include "net/transport.hpp"
+#include "util/clock.hpp"
 #include "util/flightrec.hpp"
 #include "util/sync.hpp"
 
@@ -74,9 +78,10 @@ struct RelinkPolicy {
 /// The RM's message relay. One ProxyServer serves many logical services.
 ///
 /// Lifecycle: construct, register_service() for each reachable target,
-/// start(), ... , stop(). Each tunnel uses two pump threads; fine for the
-/// handful of long-lived control connections TDP needs (RT front-end link,
-/// stdio forwarding, CASS access).
+/// start(), ... , stop(). One I/O thread runs a Reactor over the listener,
+/// every connection that still owes its kProxyConnect and both legs of
+/// every tunnel, so the proxy costs one thread however many tunnels it
+/// carries. Dials and sends block that thread (see DESIGN.md §8).
 class ProxyServer {
  public:
   /// `transport` must be able to reach the registered targets (it is the
@@ -91,8 +96,8 @@ class ProxyServer {
   void register_service(const std::string& name, const std::string& target_address);
   void unregister_service(const std::string& name);
 
-  /// Binds `listen_address` and starts the accept loop on a background
-  /// thread. Returns the concrete bound address (useful with TCP port 0).
+  /// Binds `listen_address` and starts the I/O thread. Returns the
+  /// concrete bound address (useful with TCP port 0).
   Result<std::string> start(const std::string& listen_address);
 
   /// Stops accepting and tears down all active tunnels. Idempotent.
@@ -115,36 +120,37 @@ class ProxyServer {
 
   /// Attaches the proxy's flight recorder (PR 9): tunnel opens and
   /// upstream relinks land in the ring. Set before start(); the recorder's
-  /// shard mutex is a strict leaf, safe from the pump threads.
+  /// shard mutex is a strict leaf, safe from the I/O thread.
   void set_recorder(std::shared_ptr<flightrec::Recorder> recorder) {
     recorder_ = std::move(recorder);
   }
 
  private:
-  /// Shared state of one spliced connection; `upstream` is replaced (and
-  /// `generation` bumped) when the relink policy restores a dead link.
-  /// Lock order: Tunnel::mu is always acquired before ProxyServer::mutex_
-  /// (relink() dials under mu and registers the fresh endpoint under
-  /// mutex_); nothing may take mu while holding mutex_.
+  /// One accepted connection, keyed by its client's readable fd. It owes
+  /// its kProxyConnect while `target` is empty; after that it is a tunnel
+  /// whose `upstream` is null only while a redial is due.
   struct Tunnel {
-    std::shared_ptr<Endpoint> client;
+    std::unique_ptr<Endpoint> client;
+    std::unique_ptr<Endpoint> upstream;
     std::string target;  ///< dial string for relinks
-
-    Mutex mu{"ProxyServer::Tunnel::mu"};
-    std::shared_ptr<Endpoint> upstream TDP_GUARDED_BY(mu);
-    std::uint64_t generation TDP_GUARDED_BY(mu) = 0;
-    int relinks_left TDP_GUARDED_BY(mu) = 0;
+    Micros due = 0;      ///< hello deadline or redial time; 0 when none
+    int relinks_left = 0;
+    int backoff_ms = 0;  ///< pause before the next redial
+    std::vector<std::uint8_t> unsent;  ///< burst to re-send on a fresh link
   };
 
-  void accept_loop();
-  void handle_connection_shared(std::shared_ptr<Endpoint> client);
-  void pump_client_to_upstream(const std::shared_ptr<Tunnel>& tunnel);
-  void pump_upstream_to_client(const std::shared_ptr<Tunnel>& tunnel);
-  /// Redials the tunnel's target after the upstream at `seen_generation`
-  /// died. Returns true when a live upstream exists afterwards (this call
-  /// relinked, or another pump already had).
-  bool relink(Tunnel& tunnel, std::uint64_t seen_generation)
-      TDP_EXCLUDES(tunnel.mu, mutex_);
+  void on_acceptable();
+  void on_hello(int fd);
+  void on_client(int fd);
+  void on_upstream(int fd);
+  /// Drops the dead upstream, then schedules a redial or ends the tunnel.
+  void upstream_lost(int fd, Tunnel& tunnel);
+  void redial(int fd, Tunnel& tunnel);
+  void close_tunnel(int fd);
+  /// Moves the tunnel's one timer to `due` (0 cancels it).
+  void set_due(int fd, Tunnel& tunnel, Micros due);
+  [[nodiscard]] int poll_timeout_ms() const;
+  void run_due();
 
   std::shared_ptr<Transport> transport_;
   std::unique_ptr<Listener> listener_;
@@ -154,18 +160,17 @@ class ProxyServer {
   std::map<std::string, std::string> services_ TDP_GUARDED_BY(mutex_);
   RelinkPolicy relink_ TDP_GUARDED_BY(mutex_);
 
-  std::thread accept_thread_;
+  Reactor reactor_;
   std::atomic<bool> running_{false};
-  std::atomic<std::size_t> tunnels_{0};
+  std::atomic<std::size_t> opened_{0};
   std::atomic<std::size_t> relinks_{0};
-  /// Live pump/handler threads. They are detached (a proxy serves an
-  /// unbounded stream of tunnels; joinable threads would accumulate until
-  /// stop()) and counted so stop() can wait for them to drain.
-  std::atomic<int> active_threads_{0};
-  /// Weak handles to endpoints so stop() can sever live tunnels; pruned
-  /// opportunistically.
-  std::vector<std::weak_ptr<Endpoint>> live_endpoints_ TDP_GUARDED_BY(mutex_);
   std::shared_ptr<flightrec::Recorder> recorder_;
+
+  // The I/O thread's state: stop() takes it over after the join.
+  std::map<int, Tunnel> tunnels_;
+  std::set<std::pair<Micros, int>> timers_;  ///< (due, client fd)
+  std::vector<std::uint8_t> burst_;          ///< relay buffer, kept warm
+  std::thread io_thread_;
 };
 
 /// Client-side helper implementing the Section 2.4 contract: TDP hands the

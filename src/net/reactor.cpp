@@ -100,15 +100,7 @@ int Reactor::run_once(int timeout_ms) {
   return dispatched;
 }
 
-void Reactor::run() {
-  stop_requested_.store(false, std::memory_order_release);
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    run_once(-1);
-  }
-}
-
 void Reactor::stop() {
-  stop_requested_.store(true, std::memory_order_release);
   if (wake_w_ >= 0) {
     const char byte = 'w';
     [[maybe_unused]] ssize_t n = ::write(wake_w_, &byte, 1);

@@ -4,21 +4,19 @@
 // where they use an operation such as the Unix poll or select to wait for
 // the next event to process." The Reactor is that loop, factored out so the
 // starter, paradynd, LASS/CASS servers, proxy and examples all share one
-// implementation. Handlers are invoked on the thread that calls run_once /
-// run, which is the paper's "callback at a well-known and safe point"
-// design.
+// implementation. Handlers are invoked on the thread that calls run_once,
+// which is the paper's "callback at a well-known and safe point" design.
 //
 // run_once caches the pollfd array and rebuilds it only when the watch set
 // changes (add_readable/remove bump a generation counter), so a server
 // multiplexing hundreds of idle connections does not re-copy the handler
-// map on every loop iteration. One thread drives run()/run_once at a time;
-// add_readable/remove/stop may be called from any thread and wake a
-// blocked poll.
+// map on every loop iteration. One thread drives run_once at a time, in a
+// loop under its owner's own running flag; add_readable/remove/stop may be
+// called from any thread and wake a blocked poll.
 #pragma once
 
 #include <poll.h>
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,16 +50,9 @@ class Reactor {
   /// timeout_ms: <0 block until an event or stop(), 0 poll, >0 bounded.
   int run_once(int timeout_ms);
 
-  /// Loops run_once until stop() is called.
-  void run();
-
-  /// Wakes any blocked run_once and makes run() return. Thread-safe.
+  /// Wakes a blocked run_once, or makes the next one return at once: the
+  /// wake byte stays in the pipe until a run_once drains it. Thread-safe.
   void stop();
-
-  /// True after stop() until the next run().
-  [[nodiscard]] bool stopped() const noexcept {
-    return stop_requested_.load(std::memory_order_acquire);
-  }
 
   [[nodiscard]] std::size_t watch_count() const;
 
@@ -81,7 +72,6 @@ class Reactor {
   std::vector<struct pollfd> pfds_;
   std::vector<int> pfd_fds_;
 
-  std::atomic<bool> stop_requested_{false};
   int wake_r_ = -1;
   int wake_w_ = -1;
 };

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <thread>
+#include <vector>
+
 #include "attrspace/attr_client.hpp"
 #include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
@@ -215,6 +220,201 @@ TEST(Proxy, TunneledAttrClientsShareAContext) {
   writer.value().reset();
   proxy.stop();
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The proxy's one I/O thread: a Reactor over the listener, every connection
+// that owes its hello and both legs of every tunnel.
+
+/// Threads in this process right now.
+int thread_count() {
+  int threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+long long ms_since(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+/// Sends a ping into the tunnel from `client`, answers it on the service's
+/// `leg`, and expects the pong back on `client`.
+void round_trip(Endpoint& client, Endpoint& leg, const std::string& payload) {
+  Message ping(MsgType::kPing);
+  ping.set("payload", payload);
+  ASSERT_TRUE(client.send(ping).is_ok());
+  auto relayed = leg.receive(3000);
+  ASSERT_TRUE(relayed.is_ok()) << relayed.status().to_string();
+  Message pong(MsgType::kPong);
+  pong.set("echo", relayed->get("payload"));
+  ASSERT_TRUE(leg.send(pong).is_ok());
+  auto back = client.receive(3000);
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(back->get("echo"), payload);
+}
+
+/// Opens 16 tunnels to a service whose legs this thread accepts itself, so
+/// every thread the count gains is the proxy's.
+void expect_one_proxy_thread(const std::shared_ptr<Transport>& transport,
+                             const std::string& service_address,
+                             const std::string& proxy_address) {
+  auto service = transport->listen(service_address).value();
+  ProxyServer proxy(transport);
+  proxy.register_service("svc", service->address());
+  const int before = thread_count();
+  auto started = proxy.start(proxy_address);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  std::vector<std::unique_ptr<Endpoint>> clients;
+  std::vector<std::unique_ptr<Endpoint>> legs;
+  for (int i = 0; i < 16; ++i) {
+    auto client = proxy_connect(*transport, started.value(), "svc");
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    auto leg = service->accept(3000);
+    ASSERT_TRUE(leg.is_ok()) << leg.status().to_string();
+    clients.push_back(std::move(client).value());
+    legs.push_back(std::move(leg).value());
+  }
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    round_trip(*clients[i], *legs[i], "tunnel " + std::to_string(i));
+  }
+  EXPECT_EQ(thread_count() - before, 1) << "over " << started.value();
+  EXPECT_EQ(proxy.tunnels_opened(), 16u);
+  proxy.stop();
+}
+
+TEST(ProxyReactor, OneThreadForAnyNumberOfTunnels) {
+  expect_one_proxy_thread(InProcTransport::create(), "inproc://threads-svc",
+                          "inproc://threads-proxy");
+  expect_one_proxy_thread(std::make_shared<TcpTransport>(), "127.0.0.1:0",
+                          "127.0.0.1:0");
+}
+
+TEST(ProxyReactor, StopIsPromptOverTcp) {
+  auto transport = std::make_shared<TcpTransport>();
+  auto service = transport->listen("127.0.0.1:0").value();
+  ProxyServer proxy(transport);
+  proxy.register_service("svc", service->address());
+  auto started = proxy.start("127.0.0.1:0");
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto client = proxy_connect(*transport, started.value(), "svc");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto leg = service->accept(3000);
+  ASSERT_TRUE(leg.is_ok()) << leg.status().to_string();
+
+  const auto begin = std::chrono::steady_clock::now();
+  proxy.stop();
+  EXPECT_LT(ms_since(begin), 100);
+  // stop() severed the tunnel, so the client sees its end close.
+  EXPECT_EQ(client.value()->receive(3000).status().code(),
+            ErrorCode::kConnectionError);
+}
+
+TEST(ProxyReactor, FramesBehindTheHelloAreRelayed) {
+  auto transport = std::make_shared<TcpTransport>();
+  auto service = transport->listen("127.0.0.1:0").value();
+  ProxyServer proxy(transport);
+  proxy.register_service("svc", service->address());
+  auto started = proxy.start("127.0.0.1:0");
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto client = transport->connect(started.value());
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  // The hello and the first request leave in one write, so the proxy's
+  // read of the hello takes the request along with it.
+  Message hello(MsgType::kProxyConnect);
+  hello.set("service", "svc");
+  Message ping(MsgType::kPing);
+  ping.set("payload", "behind the hello");
+  std::vector<std::uint8_t> both = hello.encode();
+  const std::vector<std::uint8_t> second = ping.encode();
+  both.insert(both.end(), second.begin(), second.end());
+  ASSERT_TRUE(client.value()->send_frame(both.data(), both.size()).is_ok());
+
+  auto reply = client.value()->receive(3000);
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply->type(), MsgType::kProxyConnectReply);
+  EXPECT_EQ(reply->get("status"), "ok");
+  auto leg = service->accept(3000);
+  ASSERT_TRUE(leg.is_ok()) << leg.status().to_string();
+  auto relayed = leg.value()->receive(3000);
+  ASSERT_TRUE(relayed.is_ok()) << relayed.status().to_string();
+  Message pong(MsgType::kPong);
+  pong.set("echo", relayed->get("payload"));
+  ASSERT_TRUE(leg.value()->send(pong).is_ok());
+  auto back = client.value()->receive(3000);
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(back->type(), MsgType::kPong);
+  EXPECT_EQ(back->get("echo"), "behind the hello");
+  proxy.stop();
+}
+
+TEST(ProxyReactor, RelinkBackoffDoesNotStallOtherTunnels) {
+  auto transport = InProcTransport::create();
+  auto service = transport->listen("inproc://relink-svc").value();
+  ProxyServer proxy(transport);
+  proxy.register_service("svc", service->address());
+  RelinkPolicy relink;
+  relink.enabled = true;
+  relink.max_relinks = 1;
+  relink.backoff_ms = 1000;
+  proxy.set_relink_policy(relink);
+  auto started = proxy.start("inproc://relink-proxy");
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto a = proxy_connect(*transport, started.value(), "svc");
+  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+  auto a_leg = service->accept(3000);
+  ASSERT_TRUE(a_leg.is_ok()) << a_leg.status().to_string();
+  auto b = proxy_connect(*transport, started.value(), "svc");
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  auto b_leg = service->accept(3000);
+  ASSERT_TRUE(b_leg.is_ok()) << b_leg.status().to_string();
+
+  // A's upstream dies; its redial is a second away.
+  const auto lost_at = std::chrono::steady_clock::now();
+  a_leg.value()->close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto begin = std::chrono::steady_clock::now();
+  round_trip(*b.value(), *b_leg.value(), "b while a waits");
+  EXPECT_LT(ms_since(begin), 200);
+
+  // After the backoff the proxy redials, and A relays on the fresh leg.
+  auto a_relinked = service->accept(3000);
+  ASSERT_TRUE(a_relinked.is_ok()) << a_relinked.status().to_string();
+  EXPECT_GE(ms_since(lost_at), 900);
+  round_trip(*a.value(), *a_relinked.value(), "a again");
+  EXPECT_EQ(proxy.relinks(), 1u);
+  proxy.stop();
+}
+
+TEST(ProxyReactor, SilentClientIsDroppedAtTheHelloDeadline) {
+  auto transport = std::make_shared<TcpTransport>();
+  auto service = transport->listen("127.0.0.1:0").value();
+  ProxyServer proxy(transport);
+  proxy.register_service("svc", service->address());
+  auto started = proxy.start("127.0.0.1:0");
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  const auto connected_at = std::chrono::steady_clock::now();
+  auto silent = transport->connect(started.value());
+  ASSERT_TRUE(silent.is_ok()) << silent.status().to_string();
+
+  // Meanwhile another client's tunnel relays normally.
+  auto other = proxy_connect(*transport, started.value(), "svc");
+  ASSERT_TRUE(other.is_ok()) << other.status().to_string();
+  auto leg = service->accept(3000);
+  ASSERT_TRUE(leg.is_ok()) << leg.status().to_string();
+  round_trip(*other.value(), *leg.value(), "meanwhile");
+
+  auto dropped = silent.value()->receive(8000);
+  const long long waited = ms_since(connected_at);
+  EXPECT_EQ(dropped.status().code(), ErrorCode::kConnectionError);
+  EXPECT_GE(waited, 4000);
+  EXPECT_LE(waited, 6000);
+  proxy.stop();
 }
 
 }  // namespace
